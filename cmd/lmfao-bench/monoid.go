@@ -53,7 +53,6 @@ func (h *harness) monoidBench(names []string, frac float64, batches int, jsonPat
 		opts := h.options()
 		opts.TrackCounts = true
 		opts.SemiJoin = true
-		opts.CompiledKernels = true
 
 		eng := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
 		recompute := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)

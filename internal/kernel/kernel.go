@@ -1,5 +1,5 @@
 // Package kernel provides the plan-shape cache behind the engine's compiled
-// maintenance kernels (internal/moo, Options.CompiledKernels): a canonical,
+// maintenance kernels (internal/moo's Apply path): a canonical,
 // collision-free key for the shape of one per-(node, delta-relation)
 // maintenance step, and a small hit-counting cache mapping keys to compiled
 // kernels.

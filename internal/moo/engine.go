@@ -45,18 +45,6 @@ type Options struct {
 	// unaffected. Off, Apply reproduces the full-scan maintenance of the
 	// pre-semi-join engine — the ablation baseline for the -update bench.
 	SemiJoin bool
-	// CompiledKernels routes Apply's maintenance steps through compiled
-	// per-(node, delta-relation) kernels: each step's group loop is
-	// specialized once — attribute offsets, semi-join probe positions and
-	// aggregate combine closures resolved at plan time — cached by plan
-	// shape (internal/kernel) and reused with its scan state across deltas.
-	// Restricted scans run row-id-batched against the unsorted base relation
-	// (no subset materialization). Off, every step re-resolves its scan
-	// state per Apply. Single-threaded scans are bit-exact across the two
-	// modes — both visit rows in the same stably-sorted order (restricted
-	// subsets large enough for domain parallelism may reassociate float
-	// sums, like any Threads > 1 configuration). Run is unaffected.
-	CompiledKernels bool
 }
 
 // DefaultOptions enables all optimizations with the paper's four threads
@@ -73,7 +61,6 @@ func DefaultOptions() Options {
 		Threads:            t,
 		DomainParallelRows: 65536,
 		SemiJoin:           true,
-		CompiledKernels:    true,
 	}
 }
 
@@ -92,15 +79,10 @@ type Engine struct {
 
 	mu        sync.Mutex
 	sortCache map[string]sortEntry
-	// gpCache caches compiled group plans for the maintenance path, which
-	// recompiles the same (sub)groups on every Apply. Run's own scans stay
-	// uncached: a compiled plan carries per-execution state (the bound scan
-	// relation), so sharing is only safe on the single-threaded Apply path.
-	gpCache map[string]*groupPlan
-	// kernels caches compiled maintenance kernels (Options.CompiledKernels)
-	// keyed by plan identity plus kernel.Shape — the same single-writer
-	// Apply-path contract as gpCache, since each kernel carries bound scan
-	// state and a reusable execution context.
+	// kernels caches the compiled maintenance kernels Apply runs, keyed by
+	// plan identity plus kernel.Shape. Run's own scans stay uncached: each
+	// kernel carries bound scan state and a reusable execution context, so
+	// sharing is only safe on the single-writer Apply path.
 	kernels *kernel.Cache
 }
 
@@ -134,13 +116,11 @@ func NewEngineWithTree(db *data.Database, tree *jointree.Tree, opts Options) *En
 		opts.DomainParallelRows = 65536
 	}
 	return &Engine{db: db, tree: tree, opts: opts,
-		sortCache: map[string]sortEntry{}, gpCache: map[string]*groupPlan{},
-		kernels: kernel.NewCache()}
+		sortCache: map[string]sortEntry{}, kernels: kernel.NewCache()}
 }
 
 // KernelCacheStats reports the compiled-maintenance-kernel cache's hit/miss
-// counters and size (zero-valued while Options.CompiledKernels is off or no
-// Apply has run).
+// counters and size (zero-valued until the first Apply).
 func (e *Engine) KernelCacheStats() kernel.CacheStats { return e.kernels.Stats() }
 
 // DB returns the engine's database.
@@ -325,35 +305,14 @@ func (e *Engine) execute(plan *core.Plan) ([]*ViewData, error) {
 	return produced, nil
 }
 
-// runGroup compiles and executes one view group, finalizing its outputs into
-// produced.
+// runGroup compiles and executes one view group over its node's sorted base
+// relation, finalizing its outputs into produced.
 func (e *Engine) runGroup(plan *core.Plan, g *core.Group, produced []*ViewData) error {
-	return e.runGroupOn(plan, g, produced, nil, true)
-}
-
-// runGroupOn is runGroup with two knobs for delta evaluation (Apply): scan an
-// override relation (a delta block) instead of the group node's base
-// relation, and suppress the forced scalar output row (a delta must stay
-// empty when nothing was emitted).
-func (e *Engine) runGroupOn(plan *core.Plan, g *core.Group, produced []*ViewData, relOverride *data.Relation, scalarInit bool) error {
 	gp, err := compileGroup(plan, g, e.opts.Compiled)
 	if err != nil {
 		return err
 	}
-	return e.execGroup(gp, produced, relOverride, scalarInit)
-}
-
-// execGroup binds the (possibly overridden) scan relation to a compiled
-// group plan and runs it; gp is reusable across calls with different
-// relations.
-func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *data.Relation, scalarInit bool) error {
-	var err error
-	if relOverride != nil {
-		gp.rel, err = relOverride.SortedCopy(gp.order)
-	} else {
-		gp.rel, err = e.sortedRel(gp.node.Rel, gp.order)
-	}
-	if err != nil {
+	if gp.rel, err = e.sortedRel(gp.node.Rel, gp.order); err != nil {
 		return err
 	}
 	gp.resolveLeafCols()
@@ -361,12 +320,12 @@ func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *dat
 	n := gp.rel.Len()
 	var builders []*viewBuilder
 	if e.opts.Threads > 1 && gp.L > 0 && n >= e.opts.DomainParallelRows {
-		builders, err = e.runDomainParallel(gp, produced, n, scalarInit)
+		builders, err = e.runDomainParallel(gp, produced, n, true)
 		if err != nil {
 			return err
 		}
 	} else {
-		ctx, err := newExecCtx(gp, produced, scalarInit)
+		ctx, err := newExecCtx(gp, produced, true)
 		if err != nil {
 			return err
 		}

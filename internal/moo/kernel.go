@@ -10,20 +10,19 @@ import (
 	"repro/internal/kernel"
 )
 
-// Compiled maintenance kernels (Options.CompiledKernels). Each kernel
+// Compiled maintenance kernels: Apply's only evaluation path. Each kernel
 // specializes one ivm schedule step for one (join-tree node, delta relation)
 // pair: the step's multi-output group loop is compiled once, its semi-join
 // probe positions are resolved once against the plan's view metadata, and a
 // reusable execution context keeps the scan's slot/running-sum arrays and
-// the composed leaf closures alive across Apply calls — the interpreted path
-// re-derives all of that per delta. Kernels are cached per engine, keyed by
+// the composed leaf closures alive across Apply calls. Kernels are cached per engine, keyed by
 // plan identity plus the injective kernel.Shape encoding, so a cache hit can
 // never return a kernel compiled for a different plan shape.
 //
 // Restricted scans run row-id-batched: the semi-join candidate row ids are
 // gathered once per (relation, semi-join signature) and shared across every
-// kernel of the Apply round through a scanCache — the interpreted path
-// re-probes, re-gathers and re-sorts the same subset once per group. The
+// kernel of the Apply round through a scanCache, never re-probed,
+// re-gathered or re-sorted per group. The
 // batch is kept as its defining probe set; each kernel resolves it against
 // the join-key index of the engine's persistent per-order sorted copy of the
 // base and walks the matched positions ascending through the id indirection
@@ -32,16 +31,16 @@ import (
 // copies of large at-delta tuple blocks are shared per scan order the same
 // way; small blocks run the indirection against the unsorted block directly.
 //
-// Every strategy visits rows in the same stable order as the interpreted
-// path — selecting a subset of a stably sorted sequence, like stably sorting
-// the ascending ids directly, preserves the ascending-id order within equal
-// keys — so aggregate accumulation, and therefore every output bit, is
-// identical; the differential oracle (internal/oracletest) enforces this
-// with kernels on and off.
+// Every strategy visits rows in the same stable order as a gather-and-sort
+// of the restricted subset would — selecting a subset of a stably sorted
+// sequence, like stably sorting the ascending ids directly, preserves the
+// ascending-id order within equal keys — so restricted and full scans
+// accumulate identically (the semi-join on/off parity oracle in
+// internal/oracletest enforces this bit for bit).
 
 // maintKernel is the compiled kernel for one maintenance step. It carries
 // mutable scan state (bound relation, execution context, id buffer) and is
-// therefore bound to the engine's single-writer Apply path, like gpCache.
+// therefore bound to the engine's single-writer Apply path.
 type maintKernel struct {
 	gp *groupPlan
 	st ivm.Step
@@ -168,9 +167,8 @@ const idScanMaxRows = 256
 
 // scanCache shares scan materializations across the kernels of one Apply
 // round: sorted copies of delta tuple blocks (per scan order) and semi-join
-// row-id batches (per semi-join signature). The interpreted path redoes this
-// work once per group; sharing it is where kernel compilation pays on
-// multi-group plans. The cache lives for a single Apply call on the engine's
+// row-id batches (per semi-join signature). Sharing this work across groups
+// is where kernel compilation pays on multi-group plans. The cache lives for a single Apply call on the engine's
 // single-writer path — entries never survive a base-relation mutation.
 type scanCache struct {
 	sorted  map[string]*data.Relation
@@ -303,7 +301,7 @@ func (k *maintKernel) runIDs(produced []*ViewData, rel *data.Relation, ids []int
 // scan order — no per-delta gather, stable sort or subset copy. Selecting a
 // subset of a stably sorted sequence preserves the relative order stable
 // id-sorting would produce, so the row visit order (and every accumulated
-// bit) matches the interpreted gather-and-sort path exactly.
+// bit) matches a gather-and-sort of the subset exactly.
 func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData, rel *data.Relation, se *subsetEntry) error {
 	sorted, err := e.sortedRel(rel, k.gp.order)
 	if err != nil {
@@ -322,7 +320,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 		}
 		slices.Sort(pos)
 		// Probes with distinct attr signatures can match the same row; the
-		// scan must visit it once, like the interpreted path's id dedup.
+		// scan must visit it once.
 		uniq := pos[:0]
 		for i, r := range pos {
 			if i == 0 || r != uniq[len(uniq)-1] {
@@ -337,7 +335,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 
 // runFull is the unrestricted fallback, scanning the engine's cached sorted
 // copy of the base relation — domain-parallel for large relations, exactly
-// like the interpreted full-scan path.
+// like Run's scans.
 func (k *maintKernel) runFull(e *Engine, produced []*ViewData, base *data.Relation) error {
 	sorted, err := e.sortedRel(base, k.gp.order)
 	if err != nil {
@@ -405,9 +403,8 @@ func (k *maintKernel) runDeltaBlock(sc *scanCache, produced []*ViewData, rel *da
 // between the restricted and full-scan strategy. No row ids are materialized
 // here: consumers re-resolve the probes against the sorted copy they scan
 // (runIDBatch), whose own key index persists across Apply calls. fallback is
-// set when the subset would cover most of the relation (same threshold as
-// the interpreted path, counting pre-dedup matches): callers should
-// full-scan instead.
+// set when the subset would cover most of the relation (more than half its
+// rows, counting pre-dedup matches): callers should full-scan instead.
 func gatherIDs(rel *data.Relation, probes []probeReq) (*subsetEntry, error) {
 	total := 0
 	for _, p := range probes {
