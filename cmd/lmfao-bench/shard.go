@@ -26,10 +26,10 @@ import (
 //     on a single core;
 //   - parallel writers: distinct batches route to distinct shards and their
 //     Session writers maintain concurrently, which adds wall-clock scaling
-//     on multi-core hosts (each worker also batches/coalesces its queue).
+//     on multi-core hosts (each writer also batches/coalesces its queue).
 //
 // The 1-shard configuration runs the identical code path (routing, queue,
-// worker), so the comparison isolates sharding itself, not the fan-out
+// writer), so the comparison isolates sharding itself, not the fan-out
 // machinery.
 func (h *harness) shardBench(names []string, shards, batches, rowsPerBatch int, jsonPath string) error {
 	if shards < 2 {
@@ -127,7 +127,7 @@ func (h *harness) shardBench(names []string, shards, batches, rowsPerBatch int, 
 // runShardStream replays the pre-generated stream against a fresh
 // ShardedSession partitioned from the pristine database: full compute, one
 // untimed warm-up batch (plan compilation, key indexes), then the timed
-// batches pipelined through ApplyAsync so per-shard workers can batch.
+// batches pipelined through ApplyAsync so per-shard writers can batch.
 func runShardStream(db *lmfao.Database, queries []*lmfao.Query, opts lmfao.Options, n int, factName string, key []lmfao.AttrID, stream []data.Delta) (time.Duration, int, lmfao.ShardedStats, error) {
 	sess, err := lmfao.NewShardedSession(db, queries, opts,
 		lmfao.ShardOptions{Shards: n, Relation: factName, Key: key})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ivm"
@@ -63,47 +62,42 @@ func ckptDir(dir string) string { return filepath.Join(dir, "checkpoint") }
 // internal/oracletest proves the recovered state bit-exact against an
 // uninterrupted twin at arbitrary crash points.
 //
-// DurableSession implements Maintainer. All maintenance calls funnel
-// through one worker goroutine, which owns the log-one/apply-one
-// interleaving invariant: the durable log is always exactly the sequence of
-// updates the session attempted, in order, so replay reproduces the live
-// apply sequence verbatim. Reads are untouched: Snapshot/Head are the
-// wrapped Session's lock-free snapshot publication.
+// DurableSession implements Maintainer. It is a Session writer with two
+// hooks installed: the pre-apply hook appends each update the writer is
+// about to apply — after coalescing, so one log record is one applied
+// update — and the post-commit hook runs the checkpoint policy. The log is
+// therefore exactly the sequence of updates the session applied, in order,
+// and replay reproduces the live apply sequence verbatim. Run, Apply,
+// ApplyAsync, Wait and the reads (Snapshot, Head, Result) are the
+// Session's own: Run also writes a covering checkpoint, so a session is
+// recoverable from the moment its first Run returns, and when Apply
+// returns every committed update is in the WAL (fsynced per SyncEvery).
 //
 // A WAL write failure (a real I/O error, or an injected crash in tests)
 // wedges the session: the failed update was not made durable and is not
 // applied, and every later maintenance call returns the same error. Recover
 // from the directory; the in-memory session is disposable by design.
 type DurableSession struct {
-	sess *Session
+	*writer
 	log  *wal.Log
 	dir  string
 	opts DurableOptions
 
-	jobs    chan *durableJob
-	worker  sync.WaitGroup
-	pending sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  atomic.Bool
-
-	// Worker-private state.
+	// sinceCkpt counts records logged since the last checkpoint; it is
+	// only touched with the writer's engMu held.
 	sinceCkpt int
-	wedged    error
-	// wedgedPub mirrors wedged for lock-free observation by other
-	// goroutines (Wedged); only the worker stores into it.
-	wedgedPub atomic.Value
-
+	// lastCkpt is what the newest checkpoint covers (for the sharded
+	// checkpoint log).
+	lastCkpt atomic.Pointer[ckptMark]
 	// failCkpt arms the pre-fsync checkpoint crash point (testing).
 	failCkpt atomic.Bool
 }
 
-// durableJob is one maintenance call routed to the worker: an update batch,
-// a forced full Run, or a forced checkpoint.
-type durableJob struct {
-	updates []Update
-	run     bool
-	ckpt    bool
-	ch      chan ApplyResult
+// ckptMark is the log position and snapshot version vector one checkpoint
+// covers.
+type ckptMark struct {
+	lsn      uint64
+	versions VersionVector
 }
 
 // NewDurableSession builds a maintained session over db whose updates are
@@ -113,28 +107,31 @@ type durableJob struct {
 // once to materialize and write the initial checkpoint, then stream updates
 // through Apply/ApplyAsync.
 func NewDurableSession(db *Database, queries []*Query, opts Options, dopts DurableOptions, dir string) (*DurableSession, error) {
-	dopts = dopts.norm()
 	log, err := wal.Open(walDir(dir), dopts.walOptions())
 	if err != nil {
 		return nil, err
 	}
 	ck, err := wal.LatestCheckpoint(ckptDir(dir))
+	if err == nil && (log.LastLSN() > 0 || ck != nil) {
+		err = fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
+	}
+	var sess *Session
+	if err == nil {
+		sess, err = NewSession(db, queries, opts)
+	}
 	if err != nil {
 		log.Abort()
 		return nil, err
 	}
-	if log.LastLSN() > 0 || ck != nil {
-		log.Abort()
-		return nil, fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
-	}
-	sess, err := NewSession(db, queries, opts)
-	if err != nil {
-		log.Abort()
-		return nil, err
-	}
-	d := &DurableSession{sess: sess, log: log, dir: dir, opts: dopts}
-	d.start()
-	return d, nil
+	return newDurable(sess, log, dir, dopts, 0), nil
+}
+
+// newDurable wraps a writer with the WAL hooks.
+func newDurable(sess *Session, log *wal.Log, dir string, dopts DurableOptions, sinceCkpt int) *DurableSession {
+	d := &DurableSession{writer: sess, log: log, dir: dir, opts: dopts.norm(), sinceCkpt: sinceCkpt}
+	sess.preApply = d.logUpdate
+	sess.postCommit = d.checkpointPolicy
+	return d
 }
 
 // RecoverSession rebuilds a durable session from dir after a crash or a
@@ -145,12 +142,11 @@ func NewDurableSession(db *Database, queries []*Query, opts Options, dopts Durab
 // checkpointed views were materialized under, before the checkpoint's
 // relation contents are restored in place. The WAL is opened (truncating
 // any torn or corrupt tail to the last committed prefix) and the records
-// past the checkpoint replay through the normal Apply path, one update per
-// record — the same call sequence the original session executed. With no
-// valid checkpoint the session recomputes from the pristine base and
-// replays the whole log.
+// past the checkpoint replay through the session's writer, one update per
+// record, with the WAL hook not yet installed — the same apply sequence the
+// original session executed. With no valid checkpoint the session
+// recomputes from the pristine base and replays the whole log.
 func RecoverSession(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableSession, error) {
-	dopts = dopts.norm()
 	sess, err := NewSession(db, queries, opts)
 	if err != nil {
 		return nil, err
@@ -165,33 +161,29 @@ func RecoverSession(dir string, db *Database, queries []*Query, opts Options, do
 	}
 	var after uint64
 	if ck != nil {
-		if err := restoreCheckpoint(sess, queries, ck); err != nil {
-			log.Abort()
-			return nil, err
-		}
+		err = restoreCheckpoint(sess, queries, ck)
 		after = ck.LSN
 		log.AdvanceLSN(ck.LSN)
-	} else if _, err := sess.Run(); err != nil {
-		log.Abort()
-		return nil, err
+	} else {
+		_, err = sess.Run()
 	}
 	replayed := 0
-	err = log.Replay(after, func(rec wal.Record) error {
-		replayed++
-		// An apply error here is the deterministic re-play of a failure the
-		// live session already saw and continued past (its later rounds kept
-		// logging), so replay continues to the next record just as the live
-		// stream did.
-		_, _ = sess.Apply(rec.Delta)
-		return nil
-	})
+	if err == nil {
+		err = log.Replay(after, func(rec wal.Record) error {
+			replayed++
+			// An apply error here is the deterministic re-play of a failure
+			// the live session already saw and continued past (its later
+			// rounds kept logging), so replay continues to the next record
+			// just as the live stream did.
+			_, _ = sess.Apply(rec.Delta)
+			return nil
+		})
+	}
 	if err != nil {
 		log.Abort()
 		return nil, err
 	}
-	d := &DurableSession{sess: sess, log: log, dir: dir, opts: dopts, sinceCkpt: replayed}
-	d.start()
-	return d, nil
+	return newDurable(sess, log, dir, dopts, replayed), nil
 }
 
 // restoreCheckpoint installs ck onto a freshly built session over the
@@ -269,80 +261,30 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 	return nil
 }
 
-// start launches the single worker goroutine that owns the write side.
-func (d *DurableSession) start() {
-	d.jobs = make(chan *durableJob, 256)
-	d.worker.Add(1)
-	go d.workerLoop()
+// logUpdate is the pre-apply hook: it appends (and fsyncs, per policy) the
+// update the writer is about to apply.
+func (d *DurableSession) logUpdate(u Update) error {
+	if _, err := d.log.Append(u); err != nil {
+		return err
+	}
+	d.sinceCkpt++
+	return nil
 }
 
-func (d *DurableSession) workerLoop() {
-	defer d.worker.Done()
-	for j := range d.jobs {
-		d.handle(j)
-		d.pending.Done()
+// checkpointPolicy is the post-commit hook: it checkpoints when forced (Run,
+// Checkpoint) or once CheckpointEvery records were logged since the last
+// checkpoint.
+func (d *DurableSession) checkpointPolicy(force bool) error {
+	if !force && (d.opts.CheckpointEvery <= 0 || d.sinceCkpt < d.opts.CheckpointEvery) {
+		return nil
 	}
+	return d.checkpoint()
 }
 
-func (d *DurableSession) handle(j *durableJob) {
-	switch {
-	case j.run:
-		_, err := d.sess.Run()
-		if err == nil {
-			err = d.checkpoint()
-		}
-		j.ch <- ApplyResult{Err: err}
-	case j.ckpt:
-		j.ch <- ApplyResult{Err: d.checkpoint()}
-	default:
-		stats, err := d.applyLogged(j.updates)
-		j.ch <- ApplyResult{Stats: stats, Err: err}
-	}
-}
-
-// applyLogged is the durable write path. Updates are processed strictly
-// one at a time, each appended (and fsynced, per policy) to the WAL before
-// it touches the session — log-before-apply — so the durable log is always
-// exactly the sequence of updates the session attempted, in order: the
-// invariant recovery's replay depends on.
-func (d *DurableSession) applyLogged(updates []Update) ([]*ApplyStats, error) {
-	if d.wedged != nil {
-		return nil, d.wedged
-	}
-	var out []*ApplyStats
-	for _, u := range updates {
-		if _, err := d.log.Append(u); err != nil {
-			// The update never became durable, so it must not be applied;
-			// the log writer is wedged (crashed or failing), and so is the
-			// session — the remaining updates are neither logged nor
-			// applied. Recover from the directory.
-			d.wedge(err)
-			return out, err
-		}
-		stats, err := d.sess.Apply(u)
-		out = append(out, stats...)
-		d.sinceCkpt++
-		if err != nil {
-			// A deterministic apply failure of a logged update: recovery's
-			// replay reproduces it identically, so log and session stay
-			// consistent. This call's remaining updates are neither logged
-			// nor applied, matching Session.Apply's stop-at-first-error
-			// contract.
-			return out, err
-		}
-	}
-	if d.opts.CheckpointEvery > 0 && d.sinceCkpt >= d.opts.CheckpointEvery {
-		if err := d.checkpoint(); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// checkpoint durably snapshots the session's current state. Worker-only.
-// It syncs the log first (a checkpoint must never cover unsynced records),
-// captures the relations' contents and versions plus the maintained view
-// DAG, writes the checkpoint file atomically, prunes old ones, and pins
+// checkpoint durably snapshots the session's current state; the writer's
+// engMu must be held. It syncs the log first (a checkpoint must never cover
+// unsynced records), captures the relations' contents and versions plus
+// the maintained view DAG, writes the checkpoint file atomically, prunes old ones, and pins
 // each relation's delta log at the covered version so the in-memory
 // retention cap cannot evict entries a recovery from this checkpoint (or a
 // log-driven consumer resuming from it) still needs. The pins are released
@@ -350,17 +292,17 @@ func (d *DurableSession) applyLogged(updates []Update) ([]*ApplyStats, error) {
 //
 // lmfao:retains-pin
 func (d *DurableSession) checkpoint() error {
-	if d.wedged != nil {
-		return d.wedged
+	s := d.writer
+	if err := s.wedgedErr(); err != nil {
+		return err
 	}
-	s := d.sess
 	if s.res == nil {
 		// A failed round left no maintained state; the next Run/Apply
 		// recomputes and the checkpoint retries on the following interval.
 		return nil
 	}
 	if err := d.log.Sync(); err != nil {
-		d.wedge(err)
+		s.wedge(err)
 		return err
 	}
 	db := s.eng.DB()
@@ -386,7 +328,7 @@ func (d *DurableSession) checkpoint() error {
 	}
 	if err := wal.WriteCheckpoint(ckptDir(d.dir), ck, d.failCkpt.Swap(false)); err != nil {
 		if errors.Is(err, wal.ErrInjectedCrash) {
-			d.wedge(err)
+			s.wedge(err)
 		}
 		return err
 	}
@@ -397,136 +339,45 @@ func (d *DurableSession) checkpoint() error {
 		rel.PinDeltaLog(ck.Versions[rel.Name])
 	}
 	d.sinceCkpt = 0
+	d.lastCkpt.Store(&ckptMark{lsn: ck.LSN, versions: s.Head().VersionVector()})
 	return nil
 }
 
-// submit enqueues a job unless the session is closed.
-//
-// lmfao:acquires closeMu.R
-func (d *DurableSession) submit(j *durableJob) (<-chan ApplyResult, error) {
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.closed.Load() {
-		return nil, errSessionClosed
-	}
-	d.pending.Add(1)
-	d.jobs <- j
-	return j.ch, nil
-}
-
-// Run (re)computes the batch from scratch, publishes it and writes a
-// checkpoint covering it, so a session is recoverable from the moment its
-// first Run returns.
-func (d *DurableSession) Run() (Queryable, error) {
-	ch, err := d.submit(&durableJob{run: true, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		return nil, err
-	}
-	if res := <-ch; res.Err != nil {
-		return nil, res.Err
-	}
-	return d.sess.Snapshot(), nil
-}
-
-// Apply logs and applies the updates (log-before-apply, one update at a
-// time) and returns the maintenance stats, exactly like Session.Apply plus
-// durability: when Apply returns, every committed update is fsynced in the
-// WAL (per the SyncEvery policy).
-func (d *DurableSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	ch, err := d.submit(&durableJob{updates: updates, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		return nil, err
-	}
-	res := <-ch
-	return res.Stats, res.Err
-}
-
-// ApplyAsync is Apply on the worker without waiting: the returned channel
-// delivers the round's result once it commits (or fails). Rounds commit in
-// submission order — the worker is the single writer.
-func (d *DurableSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch, err := d.submit(&durableJob{updates: updates, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		out := make(chan ApplyResult, 1)
-		out <- ApplyResult{Err: err}
-		return out
-	}
-	return ch
-}
-
 // Checkpoint forces a durable checkpoint of the current state, regardless
-// of the automatic interval.
-func (d *DurableSession) Checkpoint() error {
-	ch, err := d.submit(&durableJob{ckpt: true, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		return err
-	}
-	return (<-ch).Err
-}
+// of the automatic interval. It runs as a job on the writer's queue, after
+// every call accepted before it.
+func (d *DurableSession) Checkpoint() error { return (<-d.one(checkpointJob, nil)).Err }
 
-// Snapshot returns the latest committed snapshot (see Session.Snapshot);
-// reads are identical to an unlogged session's.
-func (d *DurableSession) Snapshot() Queryable { return d.sess.Snapshot() }
-
-// Head returns the latest committed snapshot as a concrete *Snapshot (see
-// Session.Head).
-func (d *DurableSession) Head() *Snapshot { return d.sess.Head() }
-
-// Session returns the wrapped Session for reads and introspection. Writing
-// through it directly (Apply/Run) would bypass the log and break the
-// recovery invariant.
-func (d *DurableSession) Session() *Session { return d.sess }
+// Session returns the writer itself, for reads and introspection; calls
+// through it are logged like the DurableSession's own.
+func (d *DurableSession) Session() *Session { return d.writer }
 
 // LastLSN returns the LSN of the last durably committed log record (0
 // before the first logged update; after recovery, the position the
-// recovered state reflects). Safe from any goroutine.
+// recovered state reflects). Each record is one applied update, possibly
+// coalesced from several queued calls, so LastLSN counts applied records.
+// Safe from any goroutine.
 func (d *DurableSession) LastLSN() uint64 { return d.log.LastLSN() }
 
 // Dir returns the durable state directory.
 func (d *DurableSession) Dir() string { return d.dir }
 
-// Wait blocks until every maintenance call accepted so far has finished.
-func (d *DurableSession) Wait() { d.pending.Wait() }
-
 // Close drains accepted work, writes a final checkpoint, syncs and closes
-// the log, and stops the worker. Further maintenance calls fail; published
-// snapshots stay readable. Idempotent.
-func (d *DurableSession) Close() { d.shutdown(false) }
+// the log. Further maintenance calls fail; published snapshots stay
+// readable. Idempotent.
+func (d *DurableSession) Close() { d.shutdown(d.closeLog) }
+
+// closeLog is Close's shutdown step: final checkpoint, then log close.
+func (d *DurableSession) closeLog() {
+	_ = d.checkpoint()
+	_ = d.log.Close()
+}
 
 // Kill is Close without the final checkpoint or log sync — the shutdown of
 // a simulated crash (testing): only what the fsync policy already
-// committed survives on disk. Accepted-but-unprocessed jobs still drain
-// through the worker (their effect is in-memory only and discarded).
-// Idempotent with Close.
-func (d *DurableSession) Kill() { d.shutdown(true) }
-
-// shutdown closes the accept gate, optionally writes a final checkpoint,
-// then drains and stops the worker.
-//
-// lmfao:acquires closeMu
-func (d *DurableSession) shutdown(kill bool) {
-	d.closeMu.Lock()
-	already := d.closed.Swap(true)
-	d.closeMu.Unlock()
-	if already {
-		return
-	}
-	if !kill {
-		// Final checkpoint, enqueued directly: submit's gate is closed.
-		d.pending.Add(1)
-		j := &durableJob{ckpt: true, ch: make(chan ApplyResult, 1)}
-		d.jobs <- j
-		<-j.ch
-	}
-	close(d.jobs)
-	d.worker.Wait()
-	d.sess.Close()
-	if kill {
-		_ = d.log.Abort()
-	} else {
-		_ = d.log.Close()
-	}
-}
+// committed survives on disk. Accepted calls still drain through the
+// writer first. Idempotent with Close.
+func (d *DurableSession) Kill() { d.shutdown(func() { _ = d.log.Abort() }) }
 
 // CrashAfterAppends arms the WAL writer's injected-crash point: the next n
 // appends succeed, then the following one writes a torn frame prefix and
@@ -534,23 +385,12 @@ func (d *DurableSession) shutdown(kill bool) {
 // process dying mid-append. Fault injection for crash-recovery testing.
 func (d *DurableSession) CrashAfterAppends(n int) { d.log.CrashAfterAppends(n) }
 
-// wedge records the sticky failure that wedged the session (worker only).
-func (d *DurableSession) wedge(err error) {
-	d.wedged = err
-	d.wedgedPub.Store(err)
-}
-
 // Wedged returns the sticky error that wedged the session, or nil while it
 // is healthy. A wedged session fails every further maintenance call with
 // the same error while its published snapshots stay readable; recover from
 // the directory. Safe for concurrent use (the serving tier maps a wedged
 // maintainer to 503).
-func (d *DurableSession) Wedged() error {
-	if v := d.wedgedPub.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
-}
+func (d *DurableSession) Wedged() error { return d.wedgedErr() }
 
 // CrashNextCheckpoint arms the checkpoint crash point: the next checkpoint
 // writes its bytes but dies before fsync/rename, leaving only a stale .tmp

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/data"
 )
 
 // DurableShardedSession is the durable counterpart of ShardedSession: the
@@ -20,38 +18,29 @@ import (
 // coordinated checkpoint appends one line to dir/CHECKPOINTS.jsonl with the
 // per-shard LSNs and the merged ShardVector it covers.
 //
-// Unlike ShardedSession there are no coalescing worker queues: each shard's
-// DurableSession worker logs and applies its updates one record at a time,
-// in routing order, which is what makes per-shard recovery deterministic —
-// coalescing merges depend on queue timing and would make the replayed
-// version vector diverge from the live one. The trade is throughput for
-// replayability; layer a ShardedSession in front when ingest rate matters
-// more than durability.
+// The shards are the same writers a ShardedSession routes to, with the WAL
+// hooks installed, so queued updates coalesce and Run is staged and atomic
+// across shards exactly as there. Each shard logs the updates it applies,
+// so per-shard recovery is deterministic.
 //
-// Checkpoints are stop-the-world per shard set: Checkpoint waits for every
-// shard to drain, checkpoints each, then records the (now consistent)
-// merged vector. Automatic checkpoints trigger on the total update count
-// across shards (DurableOptions.CheckpointEvery); the per-shard automatic
-// policy is disabled in favor of this coordination.
+// A coordinated checkpoint queues one Checkpoint job on every shard, behind
+// the work accepted before it, and appends the checkpoint-log line once all
+// of them finished. Automatic checkpoints trigger on the total update count
+// across shards (DurableOptions.CheckpointEvery) and ride on the Apply call
+// that crosses the interval; the per-shard automatic policy is disabled in
+// favor of this coordination.
 //
 // DurableShardedSession implements Maintainer.
 type DurableShardedSession struct {
-	shards   []*DurableSession
-	factName string
-	key      []AttrID
-	// factSchema is a detached zero-row schema carrier for routing (see
-	// ShardedSession.factSchema).
-	factSchema *data.Relation
-	dir        string
-	opts       DurableOptions
+	shardSet
+	shards []*DurableSession
+	dir    string
+	opts   DurableOptions
 
-	// mu serializes routing and fan-out, so each shard's log receives this
-	// session's updates in call order, and guards sinceCkpt plus the
-	// checkpoint log. Per-shard application still proceeds in parallel —
-	// the critical section only covers enqueueing.
-	mu        sync.Mutex
-	sinceCkpt int
-	closed    atomic.Bool
+	// sinceCkpt counts routed updates since the last coordinated
+	// checkpoint was queued; recMu serializes checkpoint-log appends.
+	sinceCkpt atomic.Int64
+	recMu     sync.Mutex
 }
 
 // shardManifest is the durable record of the partitioning, without which a
@@ -82,44 +71,25 @@ func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf(
 // manifest. The directory must not already hold durable sharded state; use
 // RecoverShardedSession for that.
 func NewDurableShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions, dopts DurableOptions, dir string) (*DurableShardedSession, error) {
-	dopts = dopts.norm()
 	if _, err := os.Stat(manifestPath(dir)); err == nil {
 		return nil, fmt.Errorf("lmfao: %s already holds durable sharded state; use RecoverShardedSession", dir)
 	}
-	factRel, key, err := resolveShardFact(db, so)
+	set, shardDBs, err := partition(db, so.Shards, so.Relation, so.Key)
 	if err != nil {
 		return nil, err
 	}
-	shardDBs, err := data.PartitionDatabase(db, factRel.Name, key, so.Shards)
+	s, err := buildDurableShards(set, shardDBs, dopts, dir, func(i int, sdb *Database, sdopts DurableOptions) (*DurableSession, error) {
+		return NewDurableSession(sdb, queries, opts, sdopts, shardDir(dir, i))
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &DurableShardedSession{
-		shards:     make([]*DurableSession, so.Shards),
-		factName:   factRel.Name,
-		key:        append([]AttrID(nil), key...),
-		factSchema: emptySchemaRelation(factRel),
-		dir:        dir,
-		opts:       dopts,
-	}
-	for i, sdb := range shardDBs {
-		shard, err := NewDurableSession(sdb, queries, opts, shardDurableOptions(dopts), shardDir(dir, i))
-		if err != nil {
-			for _, sh := range s.shards[:i] {
-				sh.Kill()
-			}
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
-		}
-		s.shards[i] = shard
-	}
-	m := shardManifest{Shards: so.Shards, Fact: factRel.Name, Key: make([]int32, len(key))}
-	for i, a := range key {
+	m := shardManifest{Shards: so.Shards, Fact: set.factName, Key: make([]int32, len(set.key))}
+	for i, a := range set.key {
 		m.Key[i] = int32(a)
 	}
 	if err := writeManifest(dir, m); err != nil {
-		for _, sh := range s.shards {
-			sh.Kill()
-		}
+		s.Kill()
 		return nil, err
 	}
 	return s, nil
@@ -131,255 +101,140 @@ func NewDurableShardedSession(db *Database, queries []*Query, opts Options, so S
 // base exactly as creation did, and each shard recovers independently from
 // its own checkpoint and log.
 func RecoverShardedSession(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableShardedSession, error) {
-	dopts = dopts.norm()
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	factRel := db.Relation(m.Fact)
-	if factRel == nil {
+	if db.Relation(m.Fact) == nil {
 		return nil, fmt.Errorf("lmfao: manifest fact relation %q not in database — recover with the session's original database", m.Fact)
 	}
 	key := make([]AttrID, len(m.Key))
 	for i, a := range m.Key {
 		key[i] = AttrID(a)
 	}
-	shardDBs, err := data.PartitionDatabase(db, m.Fact, key, m.Shards)
+	set, shardDBs, err := partition(db, m.Shards, m.Fact, key)
 	if err != nil {
 		return nil, err
 	}
-	s := &DurableShardedSession{
-		shards:     make([]*DurableSession, m.Shards),
-		factName:   m.Fact,
-		key:        key,
-		factSchema: emptySchemaRelation(factRel),
-		dir:        dir,
-		opts:       dopts,
-	}
+	return buildDurableShards(set, shardDBs, dopts, dir, func(i int, sdb *Database, sdopts DurableOptions) (*DurableSession, error) {
+		return RecoverSession(shardDir(dir, i), sdb, queries, opts, sdopts)
+	})
+}
+
+// buildDurableShards opens one durable shard per shard database (automatic
+// per-shard checkpoints off: the sharded layer coordinates them), killing
+// the ones already open if a later one fails.
+func buildDurableShards(set shardSet, shardDBs []*Database, dopts DurableOptions, dir string,
+	open func(int, *Database, DurableOptions) (*DurableSession, error)) (*DurableShardedSession, error) {
+	s := &DurableShardedSession{shardSet: set, shards: make([]*DurableSession, len(shardDBs)), dir: dir, opts: dopts.norm()}
+	s.extend = s.checkpointPolicy
+	sdopts := dopts
+	sdopts.CheckpointEvery = -1
 	for i, sdb := range shardDBs {
-		shard, err := RecoverSession(shardDir(dir, i), sdb, queries, opts, shardDurableOptions(dopts))
+		shard, err := open(i, sdb, sdopts)
 		if err != nil {
 			for _, sh := range s.shards[:i] {
 				sh.Kill()
 			}
 			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
 		}
-		s.shards[i] = shard
+		s.shards[i], s.writers[i] = shard, shard.writer
 	}
 	return s, nil
 }
-
-// shardDurableOptions derives the per-shard options: automatic checkpoints
-// off (the sharded layer coordinates them on the total update count).
-func shardDurableOptions(dopts DurableOptions) DurableOptions {
-	dopts.CheckpointEvery = -1
-	return dopts
-}
-
-// NumShards returns the shard count.
-func (s *DurableShardedSession) NumShards() int { return len(s.shards) }
 
 // Shard returns shard i's DurableSession — read it freely; writing through
 // it directly would bypass routing and break the partition invariant.
 func (s *DurableShardedSession) Shard(i int) *DurableSession { return s.shards[i] }
 
-// FactRelation returns the name of the hash-partitioned relation.
-func (s *DurableShardedSession) FactRelation() string { return s.factName }
-
-// ShardKey returns the attributes the fact relation is partitioned on.
-func (s *DurableShardedSession) ShardKey() []AttrID { return append([]AttrID(nil), s.key...) }
-
 // Dir returns the durable state directory.
 func (s *DurableShardedSession) Dir() string { return s.dir }
 
-// Run computes the batch on every shard in parallel (each shard writes its
-// own covering checkpoint), records one coordinated checkpoint line, and
+// Run computes the batch on every shard, staged and atomic across shards
+// like ShardedSession.Run; each shard then writes its own covering
+// checkpoint, and one coordinated checkpoint line is recorded before Run
 // returns the first merged snapshot.
-//
-// Unlike ShardedSession.Run, a FAILED durable Run is not atomic across
-// shards: each shard's publish is coupled to its covering checkpoint, so
-// shards that succeeded have already durably republished when the error
-// returns. Recover the failing shard (or call Run again) before trusting
-// merged reads; a repeat Run re-publishes every shard.
-func (s *DurableShardedSession) Run() (Queryable, error) {
-	if s.closed.Load() {
-		return nil, errSessionClosed
+func (s *DurableShardedSession) Run() (Queryable, error) { return s.run(s.record) }
+
+// checkpointPolicy is the Apply-call extension that runs the coordinated
+// checkpoint policy: the call whose updates cross CheckpointEvery routed
+// updates also queues a checkpoint round.
+func (s *DurableShardedSession) checkpointPolicy(jobs []*job) ([]*job, func(*ApplyResult)) {
+	n := int64(0)
+	for _, j := range jobs {
+		n += int64(len(j.updates))
 	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DurableSession) {
-			defer wg.Done()
-			_, errs[i] = sh.Run()
-		}(i, sh)
+	if every := int64(s.opts.CheckpointEvery); every <= 0 || s.sinceCkpt.Add(n) < every {
+		return jobs, nil
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
-		}
-	}
-	s.mu.Lock()
-	err := s.recordCheckpointLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.Snapshot(), nil
+	s.sinceCkpt.Store(0)
+	return s.withCheckpoint(jobs), s.record
 }
 
-// ApplyAsync routes the updates and fans them out to the shard workers,
-// returning a buffered channel that delivers one aggregate result when
-// every involved shard has committed (and, when the coordinated checkpoint
-// interval was crossed, after the checkpoint round). Per shard, updates log
-// and commit in call order; the cross-shard consistency contract matches
-// ShardedSession's.
-func (s *DurableShardedSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch := make(chan ApplyResult, 1)
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		ch <- ApplyResult{Err: errSessionClosed}
-		return ch
+// withCheckpoint appends one Checkpoint job per shard to a call's jobs.
+func (s *DurableShardedSession) withCheckpoint(jobs []*job) []*job {
+	for _, w := range s.writers {
+		jobs = append(jobs, &job{w: w, kind: checkpointJob})
 	}
-	perShard, err := routeUpdates(s.factSchema, s.key, len(s.shards), updates)
-	if err != nil {
-		s.mu.Unlock()
-		ch <- ApplyResult{Err: err}
-		return ch
-	}
-	var chans []<-chan ApplyResult
-	for sh, list := range perShard {
-		if len(list) == 0 {
-			continue
-		}
-		chans = append(chans, s.shards[sh].ApplyAsync(list...))
-		s.sinceCkpt += len(list)
-	}
-	ckpt := s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery
-	if ckpt {
-		s.sinceCkpt = 0
-	}
-	s.mu.Unlock()
-	if len(chans) == 0 {
-		ch <- ApplyResult{}
-		return ch
-	}
-	go func() {
-		var out ApplyResult
-		for _, c := range chans {
-			r := <-c
-			out.Stats = append(out.Stats, r.Stats...)
-			if r.Err != nil && out.Err == nil {
-				out.Err = r.Err
-			}
-		}
-		if ckpt && out.Err == nil {
-			if err := s.Checkpoint(); err != nil {
-				out.Err = err
-			}
-		}
-		ch <- out
-	}()
-	return ch
+	return jobs
 }
 
-// Apply is ApplyAsync plus the wait: when it returns, every involved shard
-// has durably logged and committed its slice of the updates.
-func (s *DurableShardedSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	res := <-s.ApplyAsync(updates...)
-	return res.Stats, res.Err
-}
-
-// Checkpoint forces one coordinated checkpoint round: quiesce every shard,
-// checkpoint each, then append the covered per-shard LSNs and merged vector
-// to the checkpoint log. New updates block (on routing) for the duration.
+// Checkpoint forces one coordinated checkpoint round: every shard
+// checkpoints once the work accepted before the call has committed, then
+// the covered per-shard LSNs and merged vector are appended to the
+// checkpoint log.
 func (s *DurableShardedSession) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.Wait()
+	return (<-submit(s.writers, s.withCheckpoint(nil), s.record)).Err
+}
+
+// record appends the shards' newest checkpoint marks to the checkpoint log
+// — the done step of a checkpoint call, skipped when a part failed.
+func (s *DurableShardedSession) record(res *ApplyResult) {
+	if res.Err != nil {
+		return
 	}
+	rec := ShardCheckpointRecord{LSNs: make([]uint64, len(s.shards)), Vector: make(ShardVector, len(s.shards))}
 	for i, sh := range s.shards {
-		if err := sh.Checkpoint(); err != nil {
-			return fmt.Errorf("lmfao: shard %d checkpoint: %w", i, err)
+		if m := sh.lastCkpt.Load(); m != nil {
+			rec.LSNs[i], rec.Vector[i] = m.lsn, m.versions
 		}
 	}
-	return s.recordCheckpointLocked()
-}
-
-// recordCheckpointLocked appends the current per-shard LSNs and merged
-// vector to the checkpoint log. Caller holds mu with all shards quiesced.
-func (s *DurableShardedSession) recordCheckpointLocked() error {
-	rec := ShardCheckpointRecord{LSNs: make([]uint64, len(s.shards))}
-	for i, sh := range s.shards {
-		rec.LSNs[i] = sh.LastLSN()
-	}
-	if head := s.Head(); head != nil {
-		rec.Vector = head.Versions()
-	}
-	return appendCheckpointRecord(s.dir, rec)
-}
-
-// Snapshot returns the current merged snapshot as a Queryable, or nil
-// before Run has completed on every shard (see ShardedSession.Snapshot).
-func (s *DurableShardedSession) Snapshot() Queryable {
-	if sn := s.Head(); sn != nil {
-		return sn
-	}
-	return nil
-}
-
-// Head returns the current merged snapshot as a concrete *ShardedSnapshot,
-// nil before Run has completed on every shard (see ShardedSession.Head).
-func (s *DurableShardedSession) Head() *ShardedSnapshot {
-	shards := make([]*Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		sn := sh.Head()
-		if sn == nil {
-			return nil
-		}
-		shards[i] = sn
-	}
-	return &ShardedSnapshot{shards: shards}
-}
-
-// Wait blocks until every update accepted so far has been applied and
-// committed on its shard.
-func (s *DurableShardedSession) Wait() {
-	for _, sh := range s.shards {
-		sh.Wait()
-	}
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	res.Err = appendCheckpointRecord(s.dir, rec)
 }
 
 // Close drains and closes every shard (each writes a final checkpoint) and
 // records the final coordinated checkpoint line. Further maintenance calls
 // fail; snapshots stay readable. Idempotent.
 func (s *DurableShardedSession) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Swap(true) {
-		return
-	}
+	first := false
 	for _, sh := range s.shards {
-		sh.Close()
+		first = sh.shutdown(sh.closeLog) || first
 	}
-	_ = s.recordCheckpointLocked()
+	if first {
+		s.record(&ApplyResult{})
+	}
 }
 
 // Kill closes every shard without final checkpoints or log syncs — the
 // shutdown of a simulated whole-process crash (testing). Idempotent with
 // Close.
 func (s *DurableShardedSession) Kill() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Swap(true) {
-		return
-	}
 	for _, sh := range s.shards {
 		sh.Kill()
 	}
+}
+
+// Wedged returns the first shard's wedging error (see
+// DurableSession.Wedged), or nil while every shard is healthy.
+func (s *DurableShardedSession) Wedged() error {
+	for _, sh := range s.shards {
+		if err := sh.Wedged(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadShardCheckpoints returns a durable sharded session's checkpoint log

@@ -3,15 +3,13 @@
 //	lmfao:requires <mu>      — the function must only be called with <mu> held
 //	lmfao:acquires <mu>[.R]  — the function body must lock and release <mu>
 //
-// The engine splits locked operations in two: an exported entry point that
-// acquires a mutex, and *Locked helpers that assume it is held
-// (publishLocked, runLocked, applyLocked under writerMu). Calling a
+// The engine splits locked operations in two: an entry point that acquires
+// a mutex, and *Locked helpers that assume it is held (publishLocked,
+// runLocked, applyLocked under the session writer's engMu). Calling a
 // *Locked helper without the lock corrupts shared state without tripping
 // any runtime check, and removing a lock acquisition from an entry point
-// reintroduces the sharded-session shutdown race fixed in the serving-tier
-// PR (Run must hold closeMu.R across the whole staged recompute so Close
-// cannot tear the engine down mid-run). This analyzer makes both
-// directions machine-checked.
+// (Requery, the writer's drain) lets an ad-hoc batch race maintenance on
+// the same engine. This analyzer makes both directions machine-checked.
 //
 // The call-site rule is lexical, not control-flow based: a call to a
 // requires-annotated function is considered guarded when the enclosing

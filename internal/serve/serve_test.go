@@ -199,37 +199,73 @@ func TestServeClosedMaintainer(t *testing.T) {
 	}
 }
 
-// TestServeWedgedDurable pins the wedged-backend path: a WAL write failure
-// wedges the durable session; the serve tier maps every later write to 503
-// while reads keep serving the last published snapshot.
+// TestServeWedgedDurable pins the wedged-backend path for both durable
+// kinds: a WAL write failure wedges the maintainer, and every write is then
+// a 503 (never a 500) while reads keep serving the last snapshot.
 func TestServeWedgedDurable(t *testing.T) {
-	db, queries := testBatch(t)
-	d, err := lmfao.NewDurableSession(db, queries, lmfao.DefaultOptions(), lmfao.DurableOptions{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	type durable interface {
+		lmfao.Maintainer
+		Wedged() error
 	}
-	t.Cleanup(d.Close)
-	if _, err := d.Run(); err != nil {
-		t.Fatal(err)
+	kinds := []struct {
+		name string
+		// build returns the maintainer with the next WAL append armed to
+		// crash; body is an apply request that reaches the armed log.
+		build func(t *testing.T, db *lmfao.Database, queries []*lmfao.Query) (durable, error)
+		body  string
+	}{
+		{"durable", func(t *testing.T, db *lmfao.Database, queries []*lmfao.Query) (durable, error) {
+			d, err := lmfao.NewDurableSession(db, queries, lmfao.DefaultOptions(), lmfao.DurableOptions{}, t.TempDir())
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(d.Close)
+			if _, err := d.Run(); err != nil {
+				return nil, err
+			}
+			d.CrashAfterAppends(0)
+			return d, nil
+		}, `{"updates":[{"relation":"sales","inserts":[[2,10]]}]}`},
+		{"durable-sharded", func(t *testing.T, db *lmfao.Database, queries []*lmfao.Query) (durable, error) {
+			d, err := lmfao.NewDurableShardedSession(db, queries, lmfao.DefaultOptions(),
+				lmfao.ShardOptions{Shards: 2}, lmfao.DurableOptions{}, t.TempDir())
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(d.Close)
+			if _, err := d.Run(); err != nil {
+				return nil, err
+			}
+			d.Shard(0).CrashAfterAppends(0)
+			return d, nil
+		}, // A dimension insert broadcasts, so it reaches shard 0's log.
+			`{"updates":[{"relation":"stores","inserts":[[3,30]]}]}`},
 	}
-	srv, err := NewServer(Config{DB: db, Maintainer: d, Queries: queries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.CrashAfterAppends(0)
-	body := `{"updates":[{"relation":"sales","inserts":[[2,10]]}]}`
-	if w := do(srv, http.MethodPost, "/v1/apply", body, nil); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("apply into armed crash = %d, want 503: %s", w.Code, w.Body)
-	}
-	if d.Wedged() == nil {
-		t.Fatal("session not wedged after injected WAL crash")
-	}
-	// The wedge is sticky: every later write is 503, never a 500 storm.
-	if w := do(srv, http.MethodPost, "/v1/apply", body, nil); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("apply after wedge = %d, want 503: %s", w.Code, w.Body)
-	}
-	if w := do(srv, http.MethodGet, "/v1/lookup?query=0&key=", "", nil); w.Code != http.StatusOK {
-		t.Fatalf("read after wedge = %d, want 200", w.Code)
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			db, queries := testBatch(t)
+			d, err := kind.build(t, db, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(Config{DB: db, Maintainer: d, Queries: queries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := do(srv, http.MethodPost, "/v1/apply", kind.body, nil); w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("apply into armed crash = %d, want 503: %s", w.Code, w.Body)
+			}
+			if d.Wedged() == nil {
+				t.Fatal("maintainer not wedged after injected WAL crash")
+			}
+			// The wedge is sticky: every later write is 503, never a 500 storm.
+			if w := do(srv, http.MethodPost, "/v1/apply", kind.body, nil); w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("apply after wedge = %d, want 503: %s", w.Code, w.Body)
+			}
+			if w := do(srv, http.MethodGet, "/v1/lookup?query=0&key=", "", nil); w.Code != http.StatusOK {
+				t.Fatalf("read after wedge = %d, want 200", w.Code)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,7 @@ type segment struct {
 
 // Log is a single-writer, global-ordered write-ahead log of base-relation
 // deltas. All mutating methods (Append, Sync, Close, Abort) must be called
-// from one goroutine — the DurableSession worker; LastLSN and
+// from one goroutine — the DurableSession's writer; LastLSN and
 // CrashAfterAppends are safe from any goroutine.
 type Log struct {
 	dir  string

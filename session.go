@@ -145,17 +145,17 @@ type ApplyResult struct {
 // # Concurrency: snapshot-isolated serving
 //
 // The session follows an MVCC-lite publication protocol. Maintenance
-// (Run/Apply/ApplyAsync) is the WRITE side: calls are serialized by an
-// internal mutex, so the session has one logical writer at a time; the
-// engine, database and join tree backing a session must not be mutated or
-// scanned by anything else while it lives (do not share an engine between
-// sessions). Serving is the READ side: any number of goroutines may call
-// Snapshot at any time — a single atomic pointer load — and query the
-// returned Snapshot freely while maintenance runs. Apply builds maintained
-// views as fresh immutable values and publishes each committed round
-// atomically; published snapshots are never patched in place, so a reader
-// observes either the previous round or the next one, never a partial
-// state.
+// (Run/Apply/ApplyAsync) is the WRITE side: a Session is one writer, whose
+// FIFO queue runs calls one at a time in submission order (see the Writer
+// section of ARCHITECTURE.md); the engine, database and join tree backing a
+// session must not be mutated or scanned by anything else while it lives
+// (do not share an engine between sessions). Serving is the READ side: any
+// number of goroutines may call Snapshot at any time — a single atomic
+// pointer load — and query the returned Snapshot freely while maintenance
+// runs. Apply builds maintained views as fresh immutable values and
+// publishes each committed round atomically; published snapshots are never
+// patched in place, so a reader observes either the previous round or the
+// next one, never a partial state.
 //
 // A failed maintenance round leaves the last committed snapshot published
 // (readers keep serving the older, still-consistent version) and forces the
@@ -168,33 +168,45 @@ type ApplyResult struct {
 // a re-fold of exactly that group's monoid columns (see internal/monoid and
 // the assembly layer in internal/moo).
 //
-// A session has exactly one logical writer; when maintenance throughput on
-// one writer becomes the bottleneck, ShardedSession partitions the fact
-// relation across N independent sessions and merges their snapshots on
-// read. Both implement the Maintainer contract (Run / Apply / ApplyAsync /
-// Snapshot / Wait / Close), so serving-tier code never special-cases the
-// shard count.
+// When maintenance throughput on one writer becomes the bottleneck,
+// ShardedSession partitions the fact relation across N writers and merges
+// their snapshots on read. Both implement the Maintainer contract (Run /
+// Apply / ApplyAsync / Snapshot / Wait / Close), so serving-tier code never
+// special-cases the shard count.
 type Session struct {
 	eng     *Engine
 	queries []*Query
 
-	// writerMu serializes the maintenance side. The read side never takes
-	// it: snapshot acquisition is the atomic load below.
-	writerMu sync.Mutex
-	// res is the writer-private maintained state (nil forces the next
-	// round to recompute). It usually aliases snap's batch result.
+	// mu guards the job queue and the close gate; idle signals (on mu)
+	// that the drain goroutine has exited.
+	mu       sync.Mutex
+	idle     sync.Cond
+	queue    []*job
+	draining bool
+	closed   bool
+
+	// engMu serializes use of the engine: the drain holds it for each
+	// batch, Requery and the shutdown hook for their whole run. The read
+	// side never takes it: snapshot acquisition is the atomic load below.
+	engMu sync.Mutex
+	// res is the writer's maintained state (nil forces the next round to
+	// recompute). It usually aliases snap's batch result.
 	res *moo.BatchResult
-	// epoch counts publications; writer-private (published inside the
-	// Snapshot, read by readers from there).
+	// epoch counts publications (published inside the Snapshot).
 	epoch uint64
 	snap  atomic.Pointer[Snapshot]
 
-	// async tracks in-flight ApplyAsync rounds for Wait; closeMu orders
-	// async.Add against Close's Wait (producers hold the read lock, Close
-	// flips closed under the write lock — the ShardedSession pattern).
-	async   sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  atomic.Bool
+	// preApply runs before each update is applied (the durable kinds'
+	// WAL append; an error wedges the writer), postCommit after each
+	// committed round, Run and Checkpoint job (their checkpoint policy).
+	// Both are nil for a plain Session and are set before the writer
+	// first runs a job.
+	preApply   func(Update) error
+	postCommit func(force bool) error
+	wedged     atomic.Pointer[error]
+
+	// Cumulative round counters (ShardedStats).
+	enqueued, applied, rounds atomic.Int64
 }
 
 // NewSession builds an engine over db with TrackCounts enabled and prepares
@@ -218,7 +230,9 @@ func NewSessionWithEngine(eng *Engine, queries []*Query) (*Session, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("lmfao: empty session batch")
 	}
-	return &Session{eng: eng, queries: queries}, nil
+	s := &Session{eng: eng, queries: queries}
+	s.idle.L = &s.mu
+	return s, nil
 }
 
 // Engine returns the session's engine (write side: see the concurrency
@@ -243,12 +257,11 @@ func (s *Session) Snapshot() Queryable {
 func (s *Session) Head() *Snapshot { return s.snap.Load() }
 
 // publishLocked commits res as the next snapshot, pinned to versions (nil
-// falls back to res.Versions, then to a fresh capture). Caller holds
-// writerMu. Output lookup indexes are built here, on the write side, so
-// concurrent readers share immutable indexes and never build anything
-// themselves.
+// falls back to res.Versions, then to a fresh capture). Output lookup
+// indexes are built here, on the write side, so concurrent readers share
+// immutable indexes and never build anything themselves.
 //
-// lmfao:requires writerMu
+// lmfao:requires engMu
 func (s *Session) publishLocked(res *moo.BatchResult, versions VersionVector) {
 	for _, v := range res.Results {
 		v.EnsureIndex()
@@ -260,34 +273,32 @@ func (s *Session) publishLocked(res *moo.BatchResult, versions VersionVector) {
 		versions = ivm.CaptureVersions(s.eng.DB())
 	}
 	s.epoch++
-	s.snap.Store(&Snapshot{epoch: s.epoch, res: res, versions: versions, requery: s.requeryLocked})
+	s.snap.Store(&Snapshot{epoch: s.epoch, res: res, versions: versions, requery: s.requery})
 }
 
-// requeryLocked is the Requery hook installed on every published snapshot:
-// it runs an ad-hoc batch on the session's engine under the writer mutex,
-// so requeries serialize with maintenance and with each other.
+// requery is the Requery hook installed on every published snapshot: it
+// runs an ad-hoc batch on the session's engine under engMu, so requeries
+// serialize with maintenance and with each other — also after Close.
 //
-// lmfao:acquires writerMu
-func (s *Session) requeryLocked(queries []*query.Query) (*moo.BatchResult, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
+// lmfao:acquires engMu
+func (s *Session) requery(queries []*query.Query) (*moo.BatchResult, error) {
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
 	return s.eng.Run(queries)
+}
+
+// one submits a single job to this writer.
+func (s *Session) one(kind jobKind, updates []Update) <-chan ApplyResult {
+	return submit([]*Session{s}, []*job{{w: s, kind: kind, updates: updates}}, nil)
 }
 
 // Run (re)computes the batch from scratch, caches the full view DAG and
 // publishes it as a new snapshot, which it returns.
-//
-// lmfao:acquires writerMu
 func (s *Session) Run() (Queryable, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if s.closed.Load() {
-		return nil, errSessionClosed
-	}
-	if _, err := s.runLocked(); err != nil {
+	if err := (<-s.one(runJob, nil)).Err; err != nil {
 		return nil, err
 	}
-	return s.snap.Load(), nil
+	return s.Snapshot(), nil
 }
 
 // errSessionClosed is returned by maintenance calls after Close.
@@ -300,59 +311,26 @@ var errSessionClosed = errors.New("lmfao: session is closed")
 // subsequent Apply calls maintain the restored state exactly as if the
 // session had computed it itself.
 //
-// lmfao:acquires writerMu
+// lmfao:acquires engMu
 func (s *Session) restoreResult(res *moo.BatchResult) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
 	s.res = res
 	s.publishLocked(res, res.Versions)
 }
 
-// runLocked is Run's body without the lock or the closed gate: a full
-// recompute that replaces the maintained state and publishes it.
+// runLocked is a full recompute that replaces the maintained state and
+// publishes it.
 //
-// lmfao:requires writerMu
-func (s *Session) runLocked() (*BatchResult, error) {
+// lmfao:requires engMu
+func (s *Session) runLocked() error {
 	res, err := s.eng.Run(s.queries)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.res = res
 	s.publishLocked(res, nil)
-	return res, nil
-}
-
-// stageRun computes the batch from scratch WITHOUT publishing. On success it
-// holds the writer mutex and returns a finish function that must be called
-// exactly once: finish(true) publishes the staged result as the next
-// snapshot, finish(false) discards it — the mutex is released either way and
-// the session's maintained state is untouched on discard (the engine run
-// mutates no base data, only internal caches). On error nothing is staged
-// and no lock is held.
-//
-// ShardedSession.Run stages every shard first and publishes only when all of
-// them succeeded, so a failed shard never leaves readers with a mix of
-// recomputed and stale shard components.
-//
-// lmfao:acquires writerMu
-func (s *Session) stageRun() (func(commit bool), error) {
-	s.writerMu.Lock()
-	if s.closed.Load() {
-		s.writerMu.Unlock()
-		return nil, errSessionClosed
-	}
-	res, err := s.eng.Run(s.queries)
-	if err != nil {
-		s.writerMu.Unlock()
-		return nil, err
-	}
-	return func(commit bool) {
-		if commit {
-			s.res = res
-			s.publishLocked(res, nil)
-		}
-		s.writerMu.Unlock()
-	}, nil
+	return nil
 }
 
 // Result returns the latest published batch result (nil before the first
@@ -373,26 +351,29 @@ func (s *Session) Result() *BatchResult {
 // snapshot before the next update is touched, so concurrent readers walk
 // through the same intermediate states a single-threaded caller would
 // observe. Relations the maintenance layer cannot handle incrementally
-// trigger one full recompute instead.
-//
-// lmfao:acquires writerMu
+// trigger one full recompute instead. Apply is ApplyAsync plus the wait.
 func (s *Session) Apply(updates ...Update) ([]*ApplyStats, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if s.closed.Load() {
-		return nil, errSessionClosed
-	}
-	return s.applyLocked(updates)
+	res := <-s.ApplyAsync(updates...)
+	return res.Stats, res.Err
 }
 
-// applyLocked is Apply's body without the closed check: rounds already
-// accepted by ApplyAsync before Close drain through here and commit (the
-// ShardedSession drain semantics), while new calls fail at the gate above.
+// applyLocked applies updates in order, running the pre-apply hook before
+// each, and stops at the first error.
 //
-// lmfao:requires writerMu
+// lmfao:requires engMu
 func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
+	if err := s.wedgedErr(); err != nil {
+		return nil, err
+	}
 	out := make([]*ApplyStats, 0, len(updates))
 	for _, u := range updates {
+		if s.preApply != nil {
+			if err := s.preApply(u); err != nil {
+				// The update never became durable, so it is not applied.
+				s.wedge(err)
+				return out, err
+			}
+		}
 		if err := s.eng.DB().ApplyDelta(u); err != nil {
 			return out, err
 		}
@@ -425,7 +406,7 @@ func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
 			}
 			out = append(out, &ApplyStats{ApplyStats: *st, Incremental: true})
 		case errors.Is(err, moo.ErrNotIncremental):
-			if _, err := s.runLocked(); err != nil {
+			if err := s.runLocked(); err != nil {
 				return out, err
 			}
 			out = append(out, &ApplyStats{ApplyStats: moo.ApplyStats{Relation: u.Relation,
@@ -440,70 +421,42 @@ func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
 		}
 	}
 	if s.res == nil {
-		if _, err := s.runLocked(); err != nil {
+		if err := s.runLocked(); err != nil {
 			return out, err
 		}
 	}
 	return out, nil
 }
 
-// ApplyAsync runs Apply(updates...) on a background goroutine and returns a
+// ApplyAsync queues Apply(updates...) on the session's writer and returns a
 // buffered channel that delivers the single result when the round finishes.
 // Readers keep serving the last committed snapshot throughout and observe
-// the new one as soon as it is published. Concurrent ApplyAsync calls are
-// safe but serialize against each other (and against Run/Apply) in an
-// unspecified order; to preserve a specific update order, chain on the
-// returned channel. Unlike ShardedSession.ApplyAsync there is no queueing or
-// coalescing: each call is one maintenance round.
-//
-// lmfao:acquires closeMu.R
+// the new one as soon as it is published. Calls commit in submission order.
+// Updates of calls queued behind a running round are applied together as
+// the next round and may be coalesced (see ARCHITECTURE.md, Writer), so the
+// delivered Stats describe the round that covered this call; Err is set
+// only when one of this call's own updates did not commit.
 func (s *Session) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch := make(chan ApplyResult, 1)
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		ch <- ApplyResult{Err: errSessionClosed}
-		return ch
-	}
-	s.async.Add(1)
-	go func() {
-		defer s.async.Done()
-		// Bypass the closed gate: this round was accepted before any Close,
-		// and Close drains accepted rounds rather than aborting them.
-		s.writerMu.Lock()
-		stats, err := s.applyLocked(updates)
-		s.writerMu.Unlock()
-		ch <- ApplyResult{Stats: stats, Err: err}
-	}()
-	return ch
+	return s.one(applyJob, updates)
 }
 
-// Wait blocks until every ApplyAsync round accepted so far has finished
-// (committed or failed). Synchronous Apply calls need no Wait — they return
-// after committing. Like ShardedSession.Wait, concurrent ApplyAsync callers
-// make the drained condition a moving target: quiesce producers first.
-func (s *Session) Wait() { s.async.Wait() }
-
-// Close permanently stops the maintenance side after draining: rounds
-// already accepted by ApplyAsync commit first (the same drain semantics as
-// ShardedSession.Close), then further Run/Apply/ApplyAsync calls fail,
-// while every published snapshot (and Result) stays fully readable —
-// including its Requery hook, which only needs the engine, not the
-// maintenance loop. A Session holds no background resources, so Close
-// exists mainly to satisfy the Maintainer shutdown contract uniformly with
-// ShardedSession; it is idempotent and safe to call concurrently with
-// readers.
-//
-// lmfao:acquires closeMu
-func (s *Session) Close() {
-	s.closeMu.Lock()
-	already := s.closed.Swap(true)
-	s.closeMu.Unlock()
-	if already {
-		return
+// Wait blocks until every call accepted so far has finished (committed or
+// failed). Concurrent producers make the drained condition a moving target:
+// quiesce them first. An idle session holds no goroutine.
+func (s *Session) Wait() {
+	s.mu.Lock()
+	for s.draining {
+		s.idle.Wait()
 	}
-	s.async.Wait()
+	s.mu.Unlock()
 }
+
+// Close permanently stops the maintenance side after draining: calls
+// already accepted commit first, then further Run/Apply/ApplyAsync calls
+// fail with ErrSessionClosed, while every published snapshot (and Result)
+// stays fully readable — including its Requery hook, which only needs the
+// engine. Close is idempotent and safe to call concurrently with readers.
+func (s *Session) Close() { s.shutdown(nil) }
 
 // InsertRows builds an insert-only update.
 func InsertRows(relation string, cols ...Column) Update {

@@ -2,16 +2,22 @@ package lmfao
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
-// closeFixture builds one maintainer of each serving kind over independent
-// copies of the sessionFixture database, runs it, and hands back a closer
-// probe. The table below drives the shared Close contract across all four:
-// Close is idempotent, Apply/ApplyAsync/Run after Close fail with
-// errSessionClosed (never panic or hang), and the last published snapshot
-// stays readable.
-func closeFixtures(t *testing.T) map[string]Maintainer {
+// closeFixtures returns one builder per serving kind, each building its
+// maintainer over an independent copy of the sessionFixture database. The
+// table drives the shared Close contract across all four: Close is
+// idempotent, Apply/ApplyAsync/Run after Close fail with errSessionClosed
+// (never panic or hang), the last published snapshot stays readable, and no
+// goroutine outlives Close.
+func closeFixtures(t *testing.T) []struct {
+	name  string
+	build func() Maintainer
+} {
 	t.Helper()
 	mk := func() (*Database, []*Query) {
 		db, _, amount, region := sessionFixture(t)
@@ -20,42 +26,54 @@ func closeFixtures(t *testing.T) map[string]Maintainer {
 			NewQuery("total", nil, Sum(amount)),
 		}
 	}
-	out := map[string]Maintainer{}
-
-	db, queries := mk()
-	sess, err := NewSession(db, queries, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	must := func(m Maintainer, err error) Maintainer {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	out["session"] = sess
-
-	db, queries = mk()
-	sharded, err := NewShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	return []struct {
+		name  string
+		build func() Maintainer
+	}{
+		{"session", func() Maintainer {
+			db, queries := mk()
+			return must(NewSession(db, queries, DefaultOptions()))
+		}},
+		{"sharded", func() Maintainer {
+			db, queries := mk()
+			return must(NewShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 2}))
+		}},
+		{"durable", func() Maintainer {
+			db, queries := mk()
+			return must(NewDurableSession(db, queries, DefaultOptions(), DurableOptions{}, t.TempDir()))
+		}},
+		{"durable-sharded", func() Maintainer {
+			db, queries := mk()
+			return must(NewDurableShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 2}, DurableOptions{}, t.TempDir()))
+		}},
 	}
-	out["sharded"] = sharded
+}
 
-	db, queries = mk()
-	durable, err := NewDurableSession(db, queries, DefaultOptions(), DurableOptions{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// requireGoroutinesBack waits for the goroutine count to drop back to base.
+// An exiting goroutine may still be counted for a moment after it signals
+// completion, so the check polls briefly before failing.
+func requireGoroutinesBack(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	out["durable"] = durable
-
-	db, queries = mk()
-	dsharded, err := NewDurableShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 2}, DurableOptions{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["durable-sharded"] = dsharded
-
-	return out
 }
 
 func TestCloseContract(t *testing.T) {
-	for name, m := range closeFixtures(t) {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range closeFixtures(t) {
+		t.Run(kind.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m := kind.build()
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -72,6 +90,7 @@ func TestCloseContract(t *testing.T) {
 			m.Close()
 			m.Close() // idempotent
 			m.Wait()  // no deadlock after close
+			requireGoroutinesBack(t, base)
 
 			if _, err := m.Apply(u); !errors.Is(err, errSessionClosed) {
 				t.Fatalf("apply after close: err = %v, want errSessionClosed", err)
@@ -96,6 +115,109 @@ func TestCloseContract(t *testing.T) {
 				t.Fatal("scalar lookup failed on post-close snapshot")
 			}
 		})
+	}
+}
+
+// TestIdleWriterHoldsNoGoroutine pins the greedy drain: a writer runs a
+// goroutine only while it has queued work, so a session that is never
+// closed holds none once Wait returns.
+func TestIdleWriterHoldsNoGoroutine(t *testing.T) {
+	for _, kind := range closeFixtures(t)[:2] { // the unlogged kinds: no files to release
+		t.Run(kind.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m := kind.build()
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var chans []<-chan ApplyResult
+			for i := 0; i < 8; i++ {
+				chans = append(chans, m.ApplyAsync(InsertRows("sales",
+					IntColumn([]int64{int64(i % 3)}), FloatColumn([]float64{float64(i)}))))
+			}
+			m.Wait()
+			for _, ch := range chans {
+				if res := <-ch; res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+			requireGoroutinesBack(t, base)
+		})
+	}
+}
+
+// TestWriterConcurrentProducers drives every kind's writer from several
+// producer goroutines at once, with requeries running beside them: every
+// accepted update must commit exactly once.
+func TestWriterConcurrentProducers(t *testing.T) {
+	const producers, perProducer = 4, 10
+	for _, kind := range closeFixtures(t) {
+		t.Run(kind.name, func(t *testing.T) {
+			m := kind.build()
+			defer m.Close()
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := m.Snapshot().Lookup(1)
+			queries := []*Query{NewQuery("n", nil, Count())}
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					var chans []<-chan ApplyResult
+					for i := 0; i < perProducer; i++ {
+						chans = append(chans, m.ApplyAsync(InsertRows("sales",
+							IntColumn([]int64{int64(p % 3)}), FloatColumn([]float64{1}))))
+						if _, err := m.Snapshot().(Requerier).Requery(queries); err != nil {
+							t.Error(err)
+						}
+					}
+					for _, ch := range chans {
+						if res := <-ch; res.Err != nil {
+							t.Error(res.Err)
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			m.Wait()
+			after, _ := m.Snapshot().Lookup(1)
+			if got, want := after[0]-before[0], float64(producers*perProducer); got != want {
+				t.Fatalf("total grew by %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestDurableShardedCloseRacesCheckpoint is the regression test for Close
+// racing a coordinated checkpoint: with CheckpointEvery 1 every Apply call
+// carries one. The checkpoint used to run on a detached goroutine after
+// Close had shut the shards, reporting ErrSessionClosed for an update that
+// had committed (a retry would apply it twice), and Close returned while
+// that goroutine still ran. The checkpoint is now part of the accepted
+// call, so the update reports success and its result is delivered before
+// Close returns.
+func TestDurableShardedCloseRacesCheckpoint(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		db, _, amount, _ := sessionFixture(t)
+		s, err := NewDurableShardedSession(db, []*Query{NewQuery("total", nil, Sum(amount))}, DefaultOptions(),
+			ShardOptions{Shards: 2}, DurableOptions{CheckpointEvery: 1}, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ch := s.ApplyAsync(InsertRows("sales", IntColumn([]int64{1}), FloatColumn([]float64{7})))
+		s.Close()
+		select {
+		case res := <-ch:
+			if res.Err != nil {
+				t.Fatalf("iteration %d: committed update reported as failed: %v", i, res.Err)
+			}
+		default:
+			t.Fatalf("iteration %d: Close returned before the accepted update's result", i)
+		}
 	}
 }
 
@@ -145,8 +267,9 @@ func TestDurableCloseThenRecover(t *testing.T) {
 // interface, which would compare non-nil and crash serving-tier
 // `snapshot == nil` guards. Covers all four Maintainer implementations.
 func TestSessionSnapshotInterfaceNil(t *testing.T) {
-	for name, m := range closeFixtures(t) {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range closeFixtures(t) {
+		t.Run(kind.name, func(t *testing.T) {
+			m := kind.build()
 			defer m.Close()
 			if sn := m.Snapshot(); sn != nil {
 				t.Fatalf("Snapshot() before Run = %#v (%T), want untyped nil", sn, sn)

@@ -67,15 +67,15 @@ func viewToRows(v *lmfao.Result) map[string][]float64 {
 	return out
 }
 
-// requireMergedEqual asserts every query's merged sharded output matches the
-// unsharded session's bit-exactly, and that Lookup agrees with the merged
-// rows.
-func requireMergedEqual(t *testing.T, label string, sn *lmfao.ShardedSnapshot, single *lmfao.Session, queries []*lmfao.Query) {
+// requireMergedEqual asserts every query's served (for a sharded snapshot,
+// merged) output matches the unsharded session's bit-exactly, and that
+// Lookup agrees with the served rows.
+func requireMergedEqual(t *testing.T, label string, sn lmfao.Queryable, single *lmfao.Session, queries []*lmfao.Query) {
 	t.Helper()
 	for qi := range queries {
-		merged, err := sn.MergedResult(qi)
-		if err != nil {
-			t.Fatalf("%s: query %d: %v", label, qi, err)
+		merged := sn.Result(qi)
+		if merged == nil {
+			t.Fatalf("%s: query %d: no merged result", label, qi)
 		}
 		got := viewToRows(merged)
 		want := viewToRows(single.Result().Results[qi])
@@ -137,8 +137,52 @@ func newShardedPair(t *testing.T, shards int, stores []int64, amounts []float64,
 	return sharded, single, queries
 }
 
-// applyBoth applies the same updates to the sharded and unsharded sessions.
-func applyBoth(t *testing.T, sharded *lmfao.ShardedSession, single *lmfao.Session, updates ...lmfao.Update) {
+// newMaintainerPair is newShardedPair for any maintainer kind: "sharded"
+// (2 shards), "session", "durable" or "durable-sharded" (2 shards).
+func newMaintainerPair(t *testing.T, kind string, stores []int64, amounts []float64, regionOf func(int64) int64) (lmfao.Maintainer, *lmfao.Session, []*lmfao.Query) {
+	t.Helper()
+	if kind == "sharded" {
+		return newShardedPair(t, 2, stores, amounts, regionOf)
+	}
+	db1, store, amount, region := shardTestDB(t, append([]int64{}, stores...), append([]float64{}, amounts...), regionOf)
+	db2, _, _, _ := shardTestDB(t, append([]int64{}, stores...), append([]float64{}, amounts...), regionOf)
+	queries := shardBatchQueries(store, amount, region)
+	single, err := lmfao.NewSession(db1, queries, lmfao.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var m lmfao.Maintainer
+	switch kind {
+	case "session":
+		m, err = lmfao.NewSession(db2, queries, lmfao.DefaultOptions())
+	case "durable":
+		m, err = lmfao.NewDurableSession(db2, queries, lmfao.DefaultOptions(), lmfao.DurableOptions{}, t.TempDir())
+	case "durable-sharded":
+		m, err = lmfao.NewDurableShardedSession(db2, queries, lmfao.DefaultOptions(),
+			lmfao.ShardOptions{Shards: 2, Relation: "Sales", Key: []lmfao.AttrID{store}}, lmfao.DurableOptions{}, t.TempDir())
+	default:
+		t.Fatalf("unknown maintainer kind %q", kind)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return m, single, queries
+}
+
+// maintainerKinds lists every kind newMaintainerPair builds; the writer
+// contract tests run on each, since all four share one writer.
+var maintainerKinds = []string{"sharded", "session", "durable", "durable-sharded"}
+
+// applyBoth applies the same updates to a maintainer and the unsharded
+// reference session.
+func applyBoth(t *testing.T, sharded lmfao.Maintainer, single *lmfao.Session, updates ...lmfao.Update) {
 	t.Helper()
 	if _, err := single.Apply(updates...); err != nil {
 		t.Fatalf("unsharded apply: %v", err)
@@ -248,7 +292,7 @@ func TestShardedSessionAsyncPipelineAndStats(t *testing.T) {
 	sharded, single, queries := newShardedPair(t, 2, stores, amounts, func(s int64) int64 { return s % 2 })
 
 	// Enqueue a burst of insert-only updates without waiting: the per-shard
-	// workers may batch and coalesce them into fewer maintenance rounds.
+	// writers may batch and coalesce them into fewer maintenance rounds.
 	const rounds = 24
 	chans := make([]<-chan lmfao.ApplyResult, 0, rounds)
 	for r := 0; r < rounds; r++ {
@@ -280,64 +324,72 @@ func TestShardedSessionAsyncPipelineAndStats(t *testing.T) {
 func TestShardedSessionCoalescingPreservesMixedOrder(t *testing.T) {
 	// insert(x) then delete(x) in separate queued updates must not be folded
 	// into one delta (whose deletes would apply first and fail). Stream many
-	// such pairs asynchronously so workers get the chance to batch them.
-	stores := []int64{0}
-	amounts := []float64{1}
-	sharded, single, queries := newShardedPair(t, 2, stores, amounts, func(s int64) int64 { return 0 })
-	var chans []<-chan lmfao.ApplyResult
-	for r := 0; r < 10; r++ {
-		v := float64(100 + r)
-		ins := lmfao.InsertRows("Sales", lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{v}))
-		del := lmfao.DeleteRows("Sales", lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{v}))
-		if _, err := single.Apply(ins, del); err != nil {
-			t.Fatal(err)
-		}
-		chans = append(chans, sharded.ApplyAsync(ins), sharded.ApplyAsync(del))
+	// such pairs asynchronously so the writers get the chance to batch them.
+	for _, kind := range maintainerKinds {
+		t.Run(kind, func(t *testing.T) {
+			stores := []int64{0}
+			amounts := []float64{1}
+			m, single, queries := newMaintainerPair(t, kind, stores, amounts, func(s int64) int64 { return 0 })
+			var chans []<-chan lmfao.ApplyResult
+			for r := 0; r < 10; r++ {
+				v := float64(100 + r)
+				ins := lmfao.InsertRows("Sales", lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{v}))
+				del := lmfao.DeleteRows("Sales", lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{v}))
+				if _, err := single.Apply(ins, del); err != nil {
+					t.Fatal(err)
+				}
+				chans = append(chans, m.ApplyAsync(ins), m.ApplyAsync(del))
+			}
+			for i, ch := range chans {
+				if res := <-ch; res.Err != nil {
+					t.Fatalf("async update %d: %v", i, res.Err)
+				}
+			}
+			requireMergedEqual(t, "after insert/delete pairs", m.Snapshot(), single, queries)
+		})
 	}
-	for i, ch := range chans {
-		if res := <-ch; res.Err != nil {
-			t.Fatalf("async update %d: %v", i, res.Err)
-		}
-	}
-	requireMergedEqual(t, "after insert/delete pairs", sharded.Head(), single, queries)
 }
 
 func TestShardedSessionErrorAttribution(t *testing.T) {
 	// A bad update (delete of a missing tuple) must deliver its error to its
 	// own ApplyAsync call only; valid calls enqueued before it — possibly
 	// coalesced into the same maintenance round — must report success, since
-	// their updates commit either way. The shard keeps serving and recovers.
-	stores := []int64{0, 1, 2, 3}
-	amounts := []float64{1, 2, 3, 4}
-	sharded, single, queries := newShardedPair(t, 2, stores, amounts, func(s int64) int64 { return s % 2 })
+	// their updates commit either way. The writer keeps serving and recovers.
+	for _, kind := range maintainerKinds {
+		t.Run(kind, func(t *testing.T) {
+			stores := []int64{0, 1, 2, 3}
+			amounts := []float64{1, 2, 3, 4}
+			m, single, queries := newMaintainerPair(t, kind, stores, amounts, func(s int64) int64 { return s % 2 })
 
-	var goodChans []<-chan lmfao.ApplyResult
-	for r := 0; r < 8; r++ {
-		u := lmfao.InsertRows("Sales",
-			lmfao.IntColumn([]int64{int64(r % 4)}), lmfao.FloatColumn([]float64{float64(10 + r)}))
-		if _, err := single.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-		goodChans = append(goodChans, sharded.ApplyAsync(u))
-	}
-	bad := lmfao.DeleteRows("Sales",
-		lmfao.IntColumn([]int64{9}), lmfao.FloatColumn([]float64{999}))
-	badCh := sharded.ApplyAsync(bad)
-	for i, ch := range goodChans {
-		if res := <-ch; res.Err != nil {
-			t.Fatalf("valid call %d contaminated by the bad update's error: %v", i, res.Err)
-		}
-	}
-	if res := <-badCh; res.Err == nil {
-		t.Fatal("bad delete must deliver an error to its own call")
-	}
-	sharded.Wait()
-	requireMergedEqual(t, "after error round", sharded.Head(), single, queries)
+			var goodChans []<-chan lmfao.ApplyResult
+			for r := 0; r < 8; r++ {
+				u := lmfao.InsertRows("Sales",
+					lmfao.IntColumn([]int64{int64(r % 4)}), lmfao.FloatColumn([]float64{float64(10 + r)}))
+				if _, err := single.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+				goodChans = append(goodChans, m.ApplyAsync(u))
+			}
+			bad := lmfao.DeleteRows("Sales",
+				lmfao.IntColumn([]int64{9}), lmfao.FloatColumn([]float64{999}))
+			badCh := m.ApplyAsync(bad)
+			for i, ch := range goodChans {
+				if res := <-ch; res.Err != nil {
+					t.Fatalf("valid call %d contaminated by the bad update's error: %v", i, res.Err)
+				}
+			}
+			if res := <-badCh; res.Err == nil {
+				t.Fatal("bad delete must deliver an error to its own call")
+			}
+			m.Wait()
+			requireMergedEqual(t, "after error round", m.Snapshot(), single, queries)
 
-	// The shard recovers: later updates apply normally.
-	applyBoth(t, sharded, single,
-		lmfao.InsertRows("Sales", lmfao.IntColumn([]int64{1}), lmfao.FloatColumn([]float64{50})))
-	requireMergedEqual(t, "after recovery", sharded.Head(), single, queries)
+			// The writer recovers: later updates apply normally.
+			applyBoth(t, m, single,
+				lmfao.InsertRows("Sales", lmfao.IntColumn([]int64{1}), lmfao.FloatColumn([]float64{50})))
+			requireMergedEqual(t, "after recovery", m.Snapshot(), single, queries)
+		})
+	}
 }
 
 func TestShardedSessionCloseAndErrors(t *testing.T) {
@@ -410,11 +462,11 @@ func TestShardedSessionDefaults(t *testing.T) {
 }
 
 // TestShardedSessionRunCloseRace is the regression test for Run racing
-// Close: Run used to check the closed flag without taking the enqueue read
-// lock (unlike ApplyAsync), so a concurrent Close could tear the session
-// down while Run executed against the shard sessions. Run now holds
-// closeMu.RLock for the duration; this test hammers the pair under the race
-// detector and pins the post-Close contract.
+// Close: a concurrent Close must never tear the session down while an
+// accepted Run executes against the shards. Run is a queued job on every
+// shard writer, accepted or refused atomically against Close, and Close
+// drains accepted jobs; this test hammers the pair under the race detector
+// and pins the post-Close contract.
 func TestShardedSessionRunCloseRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		db, _, amount, region := shardTestDB(t,
