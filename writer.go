@@ -9,10 +9,11 @@ import (
 
 // The writer is the one write path behind every maintainer kind: a Session
 // is one writer, a ShardedSession routes to N of them, and the durable
-// kinds are the same writers with a WAL hook installed. A writer owns a
-// FIFO queue of jobs (Apply, Run, Checkpoint). Submitting to an idle writer
-// starts one drain goroutine, which runs jobs until the queue is empty and
-// then exits, so an idle writer holds no goroutine.
+// kinds are the same writers with a WAL hook and a checkpoint hook
+// installed. A writer owns a FIFO queue of jobs (Apply, Run, Checkpoint).
+// Submitting to an idle writer starts one drain goroutine, which runs jobs
+// until the queue is empty and then exits, so an idle writer holds no
+// goroutine.
 //
 // The drain is greedy: consecutive queued Apply jobs form one maintenance
 // round, with adjacent updates of different jobs coalesced (see
@@ -115,15 +116,14 @@ func submit(ws []*Session, jobs []*job, done func(*ApplyResult)) <-chan ApplyRes
 	for _, w := range ws {
 		closed = closed || w.closed
 	}
-	for _, j := range jobs {
-		if closed {
-			break
-		}
-		j.call = c
-		j.w.queue = append(j.w.queue, j)
-		if !j.w.draining {
-			j.w.draining = true
-			go j.w.drain()
+	if !closed {
+		for _, j := range jobs {
+			j.call = c
+			j.w.queue = append(j.w.queue, j)
+			if !j.w.draining {
+				j.w.draining = true
+				go j.w.drain()
+			}
 		}
 	}
 	for _, w := range ws {
@@ -158,8 +158,8 @@ func (s *Session) drain() {
 		s.mu.Unlock()
 
 		// A Run part keeps engMu while it waits at the stage barrier. That
-		// cannot deadlock: the other parts wait on no writer's engMu, only
-		// on their own, which Requery holds for one bounded engine run.
+		// cannot deadlock: a part reaching the barrier needs only its own
+		// writer's engMu, which Requery holds for one bounded engine run.
 		s.engMu.Lock()
 		s.process(batch)
 		s.engMu.Unlock()
