@@ -182,13 +182,13 @@ var maintainerKinds = []string{"sharded", "session", "durable", "durable-sharded
 
 // applyBoth applies the same updates to a maintainer and the unsharded
 // reference session.
-func applyBoth(t *testing.T, sharded lmfao.Maintainer, single *lmfao.Session, updates ...lmfao.Update) {
+func applyBoth(t *testing.T, m lmfao.Maintainer, single *lmfao.Session, updates ...lmfao.Update) {
 	t.Helper()
 	if _, err := single.Apply(updates...); err != nil {
 		t.Fatalf("unsharded apply: %v", err)
 	}
-	if _, err := sharded.Apply(updates...); err != nil {
-		t.Fatalf("sharded apply: %v", err)
+	if _, err := m.Apply(updates...); err != nil {
+		t.Fatalf("%T apply: %v", m, err)
 	}
 }
 
