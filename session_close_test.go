@@ -118,10 +118,10 @@ func TestCloseContract(t *testing.T) {
 	}
 }
 
-// TestIdleWriterHoldsNoGoroutine pins the greedy drain: a writer runs a
+// TestWriterIdleHoldsNoGoroutine pins the greedy drain: a writer runs a
 // goroutine only while it has queued work, so a session that is never
 // closed holds none once Wait returns.
-func TestIdleWriterHoldsNoGoroutine(t *testing.T) {
+func TestWriterIdleHoldsNoGoroutine(t *testing.T) {
 	for _, kind := range closeFixtures(t)[:2] { // the unlogged kinds: no files to release
 		t.Run(kind.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
