@@ -28,8 +28,9 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/ml/linreg"
+	"repro/internal/ml/tree"
 	"repro/internal/moo"
-	"repro/internal/query"
 	"repro/internal/workloads"
 )
 
@@ -41,151 +42,8 @@ func main() {
 		runs     = flag.Int("runs", 2, "timed runs to average (after one warm-up)")
 		datasets = flag.String("datasets", "", "comma-separated subset (default: all)")
 		threads  = flag.Int("threads", 0, "engine threads (default: min(4, NumCPU))")
-
-		update        = flag.Bool("update", false, "benchmark incremental maintenance vs full recompute (default dataset: retailer)")
-		updateFrac    = flag.Float64("update-frac", 0.01, "update-batch size as a fraction of the target relation's rows")
-		updateRel     = flag.String("update-rel", "", "relation to update (default: the dataset's largest)")
-		updateBatches = flag.Int("update-batches", 3, "update batches to apply and time")
-
-		shards       = flag.Int("shards", 0, "benchmark sharded maintenance throughput at N shards vs 1 shard (default dataset: retailer)")
-		shardBatches = flag.Int("shard-batches", 32, "update batches to stream through the sharded session")
-		shardRows    = flag.Int("shard-rows", 256, "rows per sharded update batch (half inserts, half deletes)")
-		benchJSON    = flag.String("bench-json", "", "write the -shards/-apps benchmark result as JSON to this file")
-
-		apps = flag.Bool("apps", false, "benchmark application re-fit from serving snapshots (1/2/4 shards) vs engine recompute under an update stream (default dataset: retailer; uses -update-frac and -update-batches)")
-
-		monoidMode = flag.Bool("monoid", false, "benchmark maintained monoid aggregates (MIN/MAX, COUNT DISTINCT, top-k) vs recompute under dimension deltas (default dataset: retailer; uses -update-frac and -update-batches; writes BENCH_monoid.json unless -bench-json overrides)")
-
-		walMode    = flag.Bool("wal", false, "benchmark WAL-logged vs unlogged maintenance and recovery time vs log-suffix length (default dataset: retailer; uses -update-frac; writes BENCH_wal.json unless -bench-json overrides)")
-		walBatches = flag.Int("wal-batches", 32, "update batches for the -wal logged-vs-unlogged stream")
-
-		serveMode    = flag.Bool("serve", false, "benchmark the HTTP serving tier: lookup latency under a maintenance stream, closed and open loop plus a shed-load phase (default dataset: retailer; writes BENCH_serve.json unless -bench-json overrides)")
-		serveWorkers = flag.Int("serve-workers", 4, "closed-loop concurrent clients for -serve")
-		serveRate    = flag.Int("serve-rate", 200, "open-loop arrival rate, requests/s, for -serve")
-		serveSeconds = flag.Int("serve-seconds", 2, "duration of each -serve load phase, seconds")
 	)
 	flag.Parse()
-
-	if *shards > 0 {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Partition pruning needs a non-toy fact table to show; default
-			// the shard bench to the maintenance-bench scale.
-			*scale = 0.01
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.shardBench(updateDatasets(*datasets), *shards, *shardBatches, *shardRows, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: shards: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *apps {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Match the maintenance-bench scale: refit-vs-recompute needs a
-			// non-toy fact table to show the aggregate-recomputation cost.
-			*scale = 0.01
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.appsBench(updateDatasets(*datasets), *updateFrac, *updateBatches, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: apps: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *update {
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.updateBench(updateDatasets(*datasets), *updateFrac, *updateRel, *updateBatches); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: update: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *walMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Log overhead only means something against non-toy maintenance
-			// work; match the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_wal.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.walBench(updateDatasets(*datasets), *updateFrac, *walBatches, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: wal: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Serving latency against a toy snapshot is meaningless; match
-			// the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_serve.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.serveBench(updateDatasets(*datasets), *serveWorkers, *serveRate, *serveSeconds, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *monoidMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// The re-fold-vs-recompute gap only shows against a non-toy fact
-			// scan; match the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_monoid.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.monoidBench(updateDatasets(*datasets), *updateFrac, *updateBatches, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: monoid: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	names := datagen.All()
 	if *datasets != "" {
@@ -602,12 +460,13 @@ func fmtDur(d time.Duration) string {
 }
 
 // learnMaterializedLR is the TensorFlow proxy: gradient descent over the
-// flat training set.
+// flat training set for the given number of epochs.
 func learnMaterializedLR(flat *lmfao.Relation, ds *datagen.Dataset, spec lmfao.LinRegSpec, epochs int) error {
-	_, err := materializedLR(flat, ds, spec, epochs)
+	_, err := linreg.LearnMaterialized(flat, ds.DB, spec, epochs, 1e-7)
 	return err
 }
 
+// learnMaterializedTree is the MADlib proxy: CART over the flat join.
 func learnMaterializedTree(flat *lmfao.Relation, ds *datagen.Dataset, name string) error {
 	var spec lmfao.TreeSpec
 	if name == "tpcds" {
@@ -615,8 +474,6 @@ func learnMaterializedTree(flat *lmfao.Relation, ds *datagen.Dataset, name strin
 	} else {
 		spec = workloads.RTSpec(ds)
 	}
-	_, err := materializedTree(flat, ds, spec)
+	_, err := tree.LearnMaterialized(flat, ds.DB, spec)
 	return err
 }
-
-var _ = query.CountAgg // keep the import for workload extensions

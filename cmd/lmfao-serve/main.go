@@ -31,6 +31,10 @@ import (
 	"repro/internal/workloads"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a slow-loris client cannot pin a connection indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8347", "listen address")
@@ -97,7 +101,7 @@ func run(addr, dataset string, scale float64, seed int64, threads, shards int, d
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := &http.Server{Addr: addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving on http://%s", addr)

@@ -95,16 +95,3 @@ func keyIndexCacheKey(attrs []AttrID) string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// GatherRows returns a new relation holding exactly the given rows of r (in
-// the order of idx), sharing no row storage with the receiver. Used by the
-// maintenance layer to materialize the semi-join-restricted row subset of an
-// unchanged relation.
-func (r *Relation) GatherRows(idx []int32) *Relation {
-	out := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), n: len(idx)}
-	out.Cols = make([]Column, len(r.Cols))
-	for i, c := range r.Cols {
-		out.Cols[i] = c.gather(idx)
-	}
-	return out
-}

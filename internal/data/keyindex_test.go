@@ -103,25 +103,3 @@ func TestKeyIndexErrors(t *testing.T) {
 		t.Fatal("missing attribute must error")
 	}
 }
-
-func TestGatherRows(t *testing.T) {
-	rel := keyIndexFixture(t)
-	sub := rel.GatherRows([]int32{1, 3, 4})
-	if sub.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", sub.Len())
-	}
-	if got := sub.Cols[0].Ints; !reflect.DeepEqual(got, []int64{2, 3, 2}) {
-		t.Fatalf("gathered a column: got %v", got)
-	}
-	if got := sub.Cols[2].Floats; !reflect.DeepEqual(got, []float64{1.5, 3.5, 4.5}) {
-		t.Fatalf("gathered x column: got %v", got)
-	}
-	// Storage must be independent of the source.
-	sub.Cols[0].Ints[0] = 42
-	if rel.Cols[0].Ints[1] == 42 {
-		t.Fatal("GatherRows must not share storage")
-	}
-	if empty := rel.GatherRows(nil); empty.Len() != 0 {
-		t.Fatalf("empty gather: Len = %d", empty.Len())
-	}
-}

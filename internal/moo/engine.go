@@ -42,8 +42,9 @@ type Options struct {
 	// SemiJoin restricts Apply's maintenance scans at unchanged join-tree
 	// nodes to the base rows that join the delta's keys, using lazily built
 	// join-key indexes (data.KeyIndex) instead of full base scans. Run is
-	// unaffected. Off, Apply reproduces the full-scan maintenance of the
-	// pre-semi-join engine — the ablation baseline for the -update bench.
+	// unaffected. Off, Apply scans every base row: the full-scan reference
+	// that TestApplySemiJoinMatchesFullScan checks bit-exactness against and
+	// BenchmarkApplyRetailerDimFullScan times.
 	SemiJoin bool
 }
 

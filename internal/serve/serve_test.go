@@ -173,6 +173,21 @@ func TestServeApplySync(t *testing.T) {
 	}
 }
 
+// TestServeApplyBodyCap pins the request-size bound: an apply body past
+// maxBodyBytes is a 413 and commits nothing, so the epoch stays put.
+func TestServeApplyBodyCap(t *testing.T) {
+	srv, _ := newTestServer(t, AdmissionOptions{})
+	row := "[2,10],"
+	body := `{"updates":[{"relation":"sales","inserts":[` +
+		strings.Repeat(row, maxBodyBytes/len(row)+1) + `[2,10]]}]}`
+	if w := do(srv, http.MethodPost, "/v1/apply", body, nil); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap apply = %d, want 413: %.200s", w.Code, w.Body)
+	}
+	if got := do(srv, http.MethodGet, "/v1/epochs", "", nil).Header().Get("X-Lmfao-Epoch"); got != "1" {
+		t.Fatalf("X-Lmfao-Epoch after rejected apply = %q, want 1", got)
+	}
+}
+
 // TestServeClosedMaintainer pins the degradation contract after Close:
 // writes are 503 (the sentinel maps to service-unavailable, not a 5xx
 // crash) while every read — snapshot reads AND requeries, which evaluate

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -231,6 +232,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes the uniform error envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes caps every JSON request body (lookup, requery, apply,
+// predict). It bounds the memory one request can pin while it decodes;
+// larger ingests split into several apply rounds.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
+// failure it writes the error response — 413 for an over-cap body, 400 for
+// malformed JSON — and returns false; what names the body in the message.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, maxBodyBytes)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+	}
+	return false
 }
 
 // parseKeyCSV parses a comma-separated int64 list ("" = empty key).

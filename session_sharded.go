@@ -16,8 +16,7 @@ type ShardVector = ivm.ShardVector
 // ShardOptions configures NewShardedSession.
 type ShardOptions struct {
 	// Shards is the number of partitions (and independent shard writers).
-	// Must be at least 1; 1 yields a functional (if pointless) single-shard
-	// session, useful as the baseline in scaling measurements.
+	// Must be at least 1; 1 yields a functional single-shard session.
 	Shards int
 	// Relation names the fact relation to hash-partition. Empty selects the
 	// largest relation in the database — the fact table in every
