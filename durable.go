@@ -284,13 +284,9 @@ func (d *DurableSession) checkpointPolicy(force bool) error {
 // checkpoint durably snapshots the session's current state; the writer's
 // engMu must be held. It syncs the log first (a checkpoint must never cover
 // unsynced records), captures the relations' contents and versions plus
-// the maintained view DAG, writes the checkpoint file atomically, prunes old ones, and pins
-// each relation's delta log at the covered version so the in-memory
-// retention cap cannot evict entries a recovery from this checkpoint (or a
-// log-driven consumer resuming from it) still needs. The pins are released
-// implicitly when the next checkpoint re-pins at a higher version.
-//
-// lmfao:retains-pin
+// the maintained view DAG, writes the checkpoint file atomically and prunes
+// old ones. Recovery loads the newest checkpoint and replays the log records
+// after its LSN; nothing in memory needs to outlive it.
 func (d *DurableSession) checkpoint() error {
 	s := d.writer
 	if err := s.wedgedErr(); err != nil {
@@ -334,9 +330,6 @@ func (d *DurableSession) checkpoint() error {
 	}
 	if err := wal.PruneCheckpoints(ckptDir(d.dir), d.opts.CheckpointKeep); err != nil {
 		return err
-	}
-	for _, rel := range db.Relations() {
-		rel.PinDeltaLog(ck.Versions[rel.Name])
 	}
 	d.sinceCkpt = 0
 	d.lastCkpt.Store(&ckptMark{lsn: ck.LSN, versions: s.Head().VersionVector()})

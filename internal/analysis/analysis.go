@@ -1,11 +1,11 @@
 // Package analysis is the engine's static-analysis suite: a minimal,
 // dependency-free reimplementation of the go/analysis driver pattern plus
 // the custom analyzers that machine-check this codebase's layer contracts
-// (snapshot publication, lock protocols, delta-log pinning, checkpoint
-// durability, sentinel errors, godoc coverage). cmd/lmfao-vet exposes the
-// suite through the `go vet -vettool` protocol; the per-analyzer contracts
-// live in the analyzer subpackages and the comment-directive grammar they
-// consume in internal/analysis/annotations.
+// (snapshot publication, lock protocols, checkpoint durability, sentinel
+// errors, godoc coverage). cmd/lmfao-vet exposes the suite through the
+// `go vet -vettool` protocol; the per-analyzer contracts live in the
+// analyzer subpackages and the comment-directive grammar they consume in
+// internal/analysis/annotations.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer, Pass,
 // Diagnostic — but is built on the standard library only: the module

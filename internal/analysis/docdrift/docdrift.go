@@ -1,6 +1,5 @@
-// Package docdrift is the godoc coverage gate, ported from the CI shell
-// script (scripts/check_package_comments.sh) into a typed analyzer. Three
-// phases:
+// Package docdrift is the godoc coverage gate, run by lmfao-vet
+// (`lmfao-vet -run docdrift ./...` runs it alone). Three phases:
 //
 //  1. every package (commands included) must have a package comment;
 //  2. every exported top-level symbol of the packages listed in

@@ -1,6 +1,15 @@
 package data
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrNonFinite reports a NaN or ±Inf float value. Relations hold only
+// finite floats: a single non-finite value would poison every sum over it
+// for good, since maintenance can subtract a value but never undo a NaN.
+var ErrNonFinite = errors.New("data: non-finite float value")
 
 // Column stores the values of one attribute of a relation. Exactly one of
 // Ints or Floats is non-nil, matching the attribute's Kind: discrete
@@ -92,6 +101,17 @@ func (c Column) check(n int, kind Kind) error {
 	}
 	if kind.Discrete() != c.IsInt() {
 		return fmt.Errorf("data: column storage does not match attribute kind %v", kind)
+	}
+	return c.checkFinite()
+}
+
+// checkFinite rejects NaN and ±Inf values with an error wrapping
+// ErrNonFinite.
+func (c Column) checkFinite() error {
+	for i, v := range c.Floats {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("row %d holds %v: %w", i, v, ErrNonFinite)
+		}
 	}
 	return nil
 }

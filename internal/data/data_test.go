@@ -236,15 +236,6 @@ func TestDistinctCount(t *testing.T) {
 	}
 }
 
-func TestRowFloats(t *testing.T) {
-	_, rel := testDB(t)
-	row := make([]float64, 3)
-	rel.RowFloats(0, row)
-	if row[0] != 2 || row[1] != 7 || row[2] != 1.5 {
-		t.Fatalf("RowFloats = %v", row)
-	}
-}
-
 func TestForEachRange(t *testing.T) {
 	vals := []int64{1, 1, 1, 3, 3, 7}
 	var got [][3]int64
@@ -259,9 +250,6 @@ func TestForEachRange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("range %d: got %v want %v", i, got[i], want[i])
 		}
-	}
-	if n := CountRanges(vals, 0, len(vals)); n != 3 {
-		t.Fatalf("CountRanges = %d", n)
 	}
 }
 
@@ -401,4 +389,72 @@ func TestMustColPanics(t *testing.T) {
 		}
 	}()
 	rel.MustCol(99)
+}
+
+// TestRelationRestore verifies checkpoint restoration: contents and version
+// replaced wholesale, and every cache derived from the old rows dropped even
+// when the restored version equals the one the cache was built at.
+func TestRelationRestore(t *testing.T) {
+	_, rel := testDB(t)
+	if err := rel.SortBy([]AttrID{0}); err != nil {
+		t.Fatal(err)
+	}
+	if n := rel.DistinctCount(0); n != 2 {
+		t.Fatalf("distinct(a) = %d, want 2", n)
+	}
+	ix, err := rel.KeyIndex([]AttrID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumKeys() != 2 {
+		t.Fatalf("key index has %d keys, want 2", ix.NumKeys())
+	}
+
+	restored := []Column{
+		NewIntColumn([]int64{9, 8, 7}),
+		NewIntColumn([]int64{1, 1, 1}),
+		NewFloatColumn([]float64{0.5, 0.5, 0.5}),
+	}
+	if err := rel.Restore(restored, rel.Version()); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Len(); got != 3 {
+		t.Fatalf("restored rows = %d, want 3", got)
+	}
+	if rel.SortedBy([]AttrID{0}) {
+		t.Fatal("sort order survived Restore")
+	}
+	if n := rel.DistinctCount(0); n != 3 {
+		t.Fatalf("distinct(a) after Restore = %d, want 3", n)
+	}
+	ix, err = rel.KeyIndex([]AttrID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumKeys() != 3 {
+		t.Fatalf("key index after Restore has %d keys, want 3", ix.NumKeys())
+	}
+
+	if err := rel.Restore(restored, 42); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Version(); got != 42 {
+		t.Fatalf("restored version = %d, want 42", got)
+	}
+	// Post-restore appends continue from the restored version.
+	one := []Column{NewIntColumn([]int64{1}), NewIntColumn([]int64{1}), NewFloatColumn([]float64{1})}
+	if err := rel.Append(one); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Version(); got != 43 {
+		t.Fatalf("post-restore version = %d, want 43", got)
+	}
+
+	// Mismatched block shape is rejected and leaves state untouched.
+	if err := rel.Restore([]Column{NewIntColumn(nil)}, 50); err == nil {
+		t.Fatal("Restore accepted wrong column count")
+	}
+	if got := rel.Version(); got != 43 {
+		t.Fatalf("failed Restore changed version to %d", got)
+	}
 }

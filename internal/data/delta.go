@@ -49,201 +49,25 @@ func (d Delta) Validate(rel *Relation) error {
 	return nil
 }
 
-// DeltaEntry is one applied change in a relation's delta log. Seq increases
-// monotonically per relation; entry columns are snapshots owned by the log.
-type DeltaEntry struct {
-	Seq     int64
-	Inserts []Column
-	Deletes []Column
-}
-
 // Version returns the relation's mutation counter: 0 for a freshly built
 // relation, incremented by every Append/DeleteRows. Caches keyed by relation
 // content (sorted copies, statistics) must include the version. Safe to call
 // concurrently with the single writer's mutations.
-func (r *Relation) Version() int64 {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	return r.version
-}
-
-// DefaultDeltaLogCap is the per-relation delta-log retention bound used when
-// none is configured (see SetDeltaLogCap): a long-lived relation under steady
-// updates must not grow memory without bound. The oldest entries are dropped
-// first; DeltaLogTruncatedThrough records the eviction high-water mark so
-// consumers can detect the gap.
-const DefaultDeltaLogCap = 1024
-
-// SetDeltaLogCap bounds the relation's retained delta-log entries to n
-// (clamped to at least 1). It overrides both DefaultDeltaLogCap and any
-// database-wide default (Database.SetDeltaLogCap). Shrinking the cap takes
-// effect on the next logged delta, not retroactively.
-func (r *Relation) SetDeltaLogCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.logMu.Lock()
-	r.logCap = n
-	r.logMu.Unlock()
-}
-
-// DeltaLogCap returns the effective delta-log retention cap.
-func (r *Relation) DeltaLogCap() int {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	return r.effectiveLogCap()
-}
-
-func (r *Relation) effectiveLogCap() int {
-	if r.logCap > 0 {
-		return r.logCap
-	}
-	return DefaultDeltaLogCap
-}
-
-// DeltaLog returns the applied delta entries with Seq > since, oldest first.
-// Pass since = 0 for the full retained log. Safe to call concurrently with
-// the single writer's mutations; entry tuple blocks are immutable snapshots.
-//
-// The log keeps at most DeltaLogCap recent entries (older ones are also
-// reclaimed by TruncateDeltaLog), so the result can silently omit evicted
-// changes: after truncation, DeltaLog(since) returns only the retained
-// suffix, NOT an error or a sentinel. A consumer resuming from `since` must
-// treat the result as complete only when
-// since >= DeltaLogTruncatedThrough(); otherwise entries in
-// (since, truncatedThrough] were evicted and the consumer's view of the
-// relation can no longer be caught up from the log alone — it must fall
-// back to a full re-read (e.g. a Session recompute).
-func (r *Relation) DeltaLog(since int64) []DeltaEntry {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	var out []DeltaEntry
-	for _, e := range r.log {
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// DeltaLogTruncatedThrough returns the highest Seq ever evicted from the
-// delta log (0 when nothing has been evicted). DeltaLog(since) is a
-// complete record of the relation's changes after `since` if and only if
-// since >= DeltaLogTruncatedThrough(). Safe to call concurrently with the
-// single writer's mutations.
-func (r *Relation) DeltaLogTruncatedThrough() int64 {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	return r.logDropped
-}
-
-// PinDeltaLog marks entries with Seq > seq as required: neither the
-// retention cap nor TruncateDeltaLog will evict them until the pin moves
-// forward or is removed. A WAL-backed session pins each relation at the
-// version its newest durable checkpoint covers, so the log always retains
-// the exact suffix a consumer resuming from that checkpoint must replay —
-// without the cap silently punching a hole in it under steady updates.
-// Repinning at a later seq releases the older range. Safe to call
-// concurrently with the single writer's mutations.
-func (r *Relation) PinDeltaLog(seq int64) {
-	r.logMu.Lock()
-	r.logPin = seq
-	r.logPinned = true
-	r.logMu.Unlock()
-}
-
-// UnpinDeltaLog removes the retention pin; eviction reverts to the plain
-// cap policy.
-func (r *Relation) UnpinDeltaLog() {
-	r.logMu.Lock()
-	r.logPinned = false
-	r.logMu.Unlock()
-}
-
-// DeltaLogPin returns the current retention pin and whether one is set.
-func (r *Relation) DeltaLogPin() (int64, bool) {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	return r.logPin, r.logPinned
-}
-
-// TruncateDeltaLog drops log entries with Seq <= upTo, reclaiming their
-// tuple snapshots. Pass the last Seq a consumer has durably processed. The
-// dropped range is recorded in DeltaLogTruncatedThrough. A retention pin
-// (PinDeltaLog) clamps the truncation: pinned entries survive.
-func (r *Relation) TruncateDeltaLog(upTo int64) {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	if r.logPinned && upTo > r.logPin {
-		upTo = r.logPin
-	}
-	keep := r.log[:0]
-	for _, e := range r.log {
-		if e.Seq > upTo {
-			keep = append(keep, e)
-		} else if e.Seq > r.logDropped {
-			r.logDropped = e.Seq
-		}
-	}
-	for i := len(keep); i < len(r.log); i++ {
-		r.log[i] = DeltaEntry{}
-	}
-	r.log = keep
-}
-
-// logDeltaLocked appends an entry, enforcing the retention cap. Caller holds
-// logMu. A cap shrunk below the current length (SetDeltaLogCap) evicts the
-// whole overhang here, so `over` may exceed 1. A retention pin
-// (PinDeltaLog) limits eviction to entries at or below the pin: the log may
-// then exceed the cap, trading memory for the replayability of the pinned
-// suffix.
-func (r *Relation) logDeltaLocked(e DeltaEntry) {
-	r.log = append(r.log, e)
-	max := r.effectiveLogCap()
-	if len(r.log) > max {
-		over := len(r.log) - max
-		if r.logPinned {
-			allowed := 0
-			for allowed < over && r.log[allowed].Seq <= r.logPin {
-				allowed++
-			}
-			over = allowed
-		}
-		if over == 0 {
-			return
-		}
-		if dropped := r.log[over-1].Seq; dropped > r.logDropped {
-			r.logDropped = dropped
-		}
-		copy(r.log, r.log[over:])
-		for i := len(r.log) - over; i < len(r.log); i++ {
-			r.log[i] = DeltaEntry{}
-		}
-		r.log = r.log[:len(r.log)-over]
-	}
-}
+func (r *Relation) Version() int64 { return r.version.Load() }
 
 // mutated invalidates row-content-derived caches after an in-place change
 // (the sort order no longer holds, distinct counts may have shifted) and
-// commits the version bump plus log entry in one critical section, so a
-// concurrent log reader never observes a version whose entry is missing.
-// makeEntry builds the entry for the already-bumped version (nil for
-// unlogged mutations).
-func (r *Relation) mutated(makeEntry func(seq int64) DeltaEntry) {
+// bumps the version.
+func (r *Relation) mutated() {
 	r.sortOrder = nil
 	r.distinctMu.Lock()
 	r.distinct = nil
 	r.distinctMu.Unlock()
-	r.logMu.Lock()
-	r.version++
-	if makeEntry != nil {
-		r.logDeltaLocked(makeEntry(r.version))
-	}
-	r.logMu.Unlock()
+	r.version.Add(1)
 }
 
 // checkBlock validates a column block against the relation's schema: one
-// column per attribute, kinds matching, equal lengths.
+// column per attribute, kinds matching, equal lengths, finite floats.
 func (r *Relation) checkBlock(cols []Column) (int, error) {
 	if len(cols) != len(r.Cols) {
 		return 0, fmt.Errorf("data: relation %q: block has %d columns, want %d", r.Name, len(cols), len(r.Cols))
@@ -258,6 +82,9 @@ func (r *Relation) checkBlock(cols []Column) (int, error) {
 		} else if c.Len() != n {
 			return 0, fmt.Errorf("data: relation %q column %d: length %d, want %d", r.Name, i, c.Len(), n)
 		}
+		if err := c.checkFinite(); err != nil {
+			return 0, fmt.Errorf("data: relation %q column %d: %w", r.Name, i, err)
+		}
 	}
 	if n < 0 {
 		n = 0
@@ -265,8 +92,8 @@ func (r *Relation) checkBlock(cols []Column) (int, error) {
 	return n, nil
 }
 
-// Append appends a block of tuples to the relation and records the change in
-// its delta log. The appended rows break any previous sort order.
+// Append appends a block of tuples to the relation. The appended rows break
+// any previous sort order.
 func (r *Relation) Append(cols []Column) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -283,8 +110,7 @@ func (r *Relation) Append(cols []Column) error {
 		}
 	}
 	r.n += n
-	ins := copyBlock(cols)
-	r.mutated(func(seq int64) DeltaEntry { return DeltaEntry{Seq: seq, Inserts: ins} })
+	r.mutated()
 	return nil
 }
 
@@ -331,8 +157,7 @@ func (r *Relation) DeleteRows(cols []Column) error {
 		r.Cols[i] = r.Cols[i].gather(keep)
 	}
 	r.n = len(keep)
-	del := copyBlock(cols)
-	r.mutated(func(seq int64) DeltaEntry { return DeltaEntry{Seq: seq, Deletes: del} })
+	r.mutated()
 	return nil
 }
 
@@ -361,14 +186,26 @@ func copyBlock(cols []Column) []Column {
 	return out
 }
 
-// ApplyDelta applies d to its base relation: deletes are validated and
-// removed first, then inserts are appended. Both halves land in the
-// relation's delta log.
-func (db *Database) ApplyDelta(d Delta) error {
+// CheckDelta validates d against its base relation without applying it: the
+// relation exists and both halves fit its schema. A delta that passes can
+// fail ApplyDelta only on a delete with no matching tuple, which leaves the
+// relation untouched.
+func (db *Database) CheckDelta(d Delta) error {
 	rel := db.Relation(d.Relation)
 	if rel == nil {
 		return fmt.Errorf("data: delta against unknown relation %q", d.Relation)
 	}
+	return d.Validate(rel)
+}
+
+// ApplyDelta applies d to its base relation: both halves are validated
+// first, so a malformed insert half cannot follow an applied delete half;
+// then deletes are removed and inserts appended.
+func (db *Database) ApplyDelta(d Delta) error {
+	if err := db.CheckDelta(d); err != nil {
+		return err
+	}
+	rel := db.Relation(d.Relation)
 	if d.DeleteRows() > 0 {
 		if err := rel.DeleteRows(d.Deletes); err != nil {
 			return err

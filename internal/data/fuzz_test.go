@@ -205,9 +205,10 @@ func FuzzSplitRelation(f *testing.F) {
 	})
 }
 
-// FuzzRelationDelta drives the delta log with arbitrary tapes: append and
-// delete batches must keep the relation consistent (length bookkeeping,
-// version monotonicity) and failed deletes must leave it untouched.
+// FuzzRelationDelta drives Append and DeleteRows with arbitrary tapes:
+// append and delete batches must keep the relation consistent (length
+// bookkeeping, version monotonicity) and failed deletes must leave it
+// untouched.
 func FuzzRelationDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{1, 9})
 	f.Add([]byte{}, []byte{4})

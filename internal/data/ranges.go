@@ -75,13 +75,3 @@ func ForEachRange(vals []int64, lo, hi int, fn func(v int64, l, h int)) {
 		lo = end
 	}
 }
-
-// CountRanges returns the number of maximal equal-value runs in vals[lo:hi).
-func CountRanges(vals []int64, lo, hi int) int {
-	n := 0
-	for lo < hi {
-		lo = RangeEnd(vals, lo, hi)
-		n++
-	}
-	return n
-}

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is an in-memory columnar relation. Columns are parallel to Attrs.
 // A relation may be sorted by a prefix order of discrete attributes
-// (SortOrder); the MOO executor relies on sortedness for trie-style scans.
+// (SortedBy); the MOO executor relies on sortedness for trie-style scans.
 type Relation struct {
 	Name  string
 	Attrs []AttrID
@@ -25,27 +26,11 @@ type Relation struct {
 	distinctMu sync.Mutex
 	distinct   map[AttrID]int
 
-	// logMu guards version, log, logDropped and logCap: the snapshot
-	// publication protocol (lmfao.Session) reads versions and delta-log
-	// suffixes concurrently with the single writer's mutations, so the
-	// version bump and log append commit under one critical section.
-	// Column data itself stays single-writer: mutating rows must not race
-	// with row reads.
-	logMu sync.Mutex
-	// version counts in-place mutations (see Version); log records the
-	// applied deltas (see DeltaLog).
-	version int64
-	log     []DeltaEntry
-	// logDropped is the highest Seq ever evicted from the log, by the
-	// retention cap or TruncateDeltaLog (see DeltaLogTruncatedThrough).
-	logDropped int64
-	// logCap bounds the retained log entries; 0 means DefaultDeltaLogCap
-	// (see SetDeltaLogCap).
-	logCap int
-	// logPin, when logPinned, is the highest Seq eviction may drop: entries
-	// after it are needed by a durable consumer (see PinDeltaLog).
-	logPin    int64
-	logPinned bool
+	// version counts in-place mutations (see Version). It is atomic because
+	// the snapshot publication protocol (lmfao.Session) reads versions
+	// concurrently with the single writer's mutations; column data itself
+	// stays single-writer: mutating rows must not race with row reads.
+	version atomic.Int64
 
 	// keyIdx caches join-key indexes per attribute list (see KeyIndex);
 	// keyIdxMu guards it because maintenance passes may overlap with
@@ -118,9 +103,6 @@ func (r *Relation) validate(db *Database) error {
 	}
 	return nil
 }
-
-// SortOrder returns the attribute order the relation is sorted by, or nil.
-func (r *Relation) SortOrder() []AttrID { return r.sortOrder }
 
 // SortedBy reports whether the relation is sorted lexicographically by a
 // sequence of attributes beginning with order (i.e. order is a prefix of the
@@ -250,10 +232,7 @@ func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
 // recovered state: cols becomes the row storage (ownership transfers to the
 // relation) and version the mutation counter, as captured by a WAL
 // checkpoint. All derived caches — sort order, distinct counts, key
-// indexes — are dropped, and the delta log resets to empty with
-// DeltaLogTruncatedThrough = version, since the pre-restore entries are not
-// reconstructible from a checkpoint. Single-writer: must not race with row
-// reads.
+// indexes — are dropped. Single-writer: must not race with row reads.
 func (r *Relation) Restore(cols []Column, version int64) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -268,15 +247,7 @@ func (r *Relation) Restore(cols []Column, version int64) error {
 	r.keyIdxMu.Lock()
 	r.keyIdx = nil
 	r.keyIdxMu.Unlock()
-	r.logMu.Lock()
-	r.version = version
-	for i := range r.log {
-		r.log[i] = DeltaEntry{}
-	}
-	r.log = r.log[:0]
-	r.logDropped = version
-	r.logPinned = false
-	r.logMu.Unlock()
+	r.version.Store(version)
 	return nil
 }
 
@@ -307,11 +278,4 @@ func (r *Relation) DistinctCount(id AttrID) int {
 	r.distinct[id] = len(seen)
 	r.distinctMu.Unlock()
 	return len(seen)
-}
-
-// RowFloats copies row i into dst as float64s in schema order.
-func (r *Relation) RowFloats(i int, dst []float64) {
-	for j, c := range r.Cols {
-		dst[j] = c.Float(i)
-	}
 }

@@ -30,9 +30,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is a laptop-friendly scale.
-func DefaultConfig() Config { return Config{Scale: 0.001, Seed: 2019} }
-
 // Dataset bundles a generated database with its join tree and the workload
 // attribute sets used by the paper's experiments.
 type Dataset struct {

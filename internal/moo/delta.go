@@ -264,11 +264,6 @@ func (e *Engine) foldBagDelta(bag *jointree.Node, d data.Delta) (data.Delta, err
 			return data.Delta{}, err
 		}
 	}
-	// The bag relation lives only in the join tree — no consumer ever reads
-	// its delta log — so reclaim the expanded tuple snapshots the mutations
-	// above just logged instead of pinning up to a full retention cap of
-	// join blocks per bag.
-	bag.Rel.TruncateDeltaLog(bag.Rel.Version())
 	return expanded, nil
 }
 

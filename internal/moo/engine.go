@@ -3,7 +3,6 @@ package moo
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -426,9 +425,4 @@ func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relat
 	e.sortCache[key] = sortEntry{version: version, rel: cp}
 	e.mu.Unlock()
 	return cp, nil
-}
-
-// SortAttrIDs is a helper for deterministic attribute ordering in callers.
-func SortAttrIDs(ids []data.AttrID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

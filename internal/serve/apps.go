@@ -206,7 +206,11 @@ func rowRelation(db *lmfao.Database, row map[string]float64) (*data.Relation, er
 		if db.Attribute(id).Kind == data.Numeric {
 			cols[i] = data.NewFloatColumn([]float64{row[name]})
 		} else {
-			cols[i] = data.NewIntColumn([]int64{int64(row[name])})
+			v, err := wireInt(row[name])
+			if err != nil {
+				return nil, fmt.Errorf("attribute %q: %w", name, err)
+			}
+			cols[i] = data.NewIntColumn([]int64{v})
 		}
 	}
 	return data.NewRelation("input", attrs, cols), nil

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	lmfao "repro"
+	"repro/internal/data"
 	"repro/internal/query"
 )
 
@@ -497,27 +498,40 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, app string) {
 	}
 	epochs := epochsOf(sn)
 	ekey := epochHeader(epochs)
-	if v, hit := s.cache.get(app, ekey); hit {
-		writeJSON(w, http.StatusOK, v)
-		return
+	m, hit := s.cache.get(app, ekey)
+	if !hit {
+		if !s.adm.allow(tenant(r)) {
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "tenant over fit rate")
+			return
+		}
+		var status int
+		var err error
+		if m, status, err = s.learn(sn, app); err != nil {
+			writeError(w, status, "%v", err)
+			return
+		}
+		s.cache.put(app, ekey, m)
 	}
-	if !s.adm.allow(tenant(r)) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant over fit rate")
-		return
-	}
-	resp, status, err := s.fit(sn, app, epochs)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	s.cache.put(app, ekey, resp)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, s.render(m, epochs, hit))
 }
 
-// fit dispatches to the application entry points over the app's batch
-// window. The returned status is only meaningful when err != nil.
-func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int, error) {
+// predictor is the model side of /predict: the linreg, polyreg and tree
+// models learn returns.
+type predictor interface {
+	PredictRow(flat *data.Relation, i int) (float64, error)
+}
+
+// chowliuModel is the raw result of the chowliu application.
+type chowliuModel struct {
+	mi    *lmfao.MIResult
+	edges []lmfao.ChowLiuEdge
+}
+
+// learn fits app's raw model (the object render turns into wire output and
+// handlePredict evaluates) over the app's batch window. The returned status
+// is only meaningful when err != nil.
+func (s *Server) learn(sn lmfao.Queryable, app string) (any, int, error) {
 	window := func(win Window) (lmfao.Queryable, error) {
 		return lmfao.SubQueryable(sn, win.Lo, win.Hi)
 	}
@@ -534,11 +548,7 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		names := make([]string, len(m.Features))
-		for i, f := range m.Features {
-			names[i] = f.Name
-		}
-		return linregModelWire{Features: names, Theta: m.Theta, FinalLoss: m.FinalLoss, Epochs: epochs}, 0, nil
+		return m, 0, nil
 	case "polyreg":
 		if s.apps.PolyReg == nil {
 			return nil, http.StatusNotFound, fmt.Errorf("polyreg not registered")
@@ -551,7 +561,7 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		return polyModelWire{Monomials: len(m.Monomials), Theta: m.Theta, Epochs: epochs}, 0, nil
+		return m, 0, nil
 	case "tree":
 		if s.apps.Tree == nil {
 			return nil, http.StatusNotFound, fmt.Errorf("tree not registered")
@@ -568,7 +578,7 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		return treeModelWire{Nodes: m.Nodes, Depth: treeDepth(m.Root), Epochs: epochs}, 0, nil
+		return m, 0, nil
 	case "chowliu":
 		if s.apps.ChowLiu == nil {
 			return nil, http.StatusNotFound, fmt.Errorf("chowliu not registered")
@@ -581,11 +591,7 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		wireEdges := make([]chowliuEdge, len(edges))
-		for i, e := range edges {
-			wireEdges[i] = chowliuEdge{I: e.I, J: e.J, Weight: e.Weight}
-		}
-		return chowliuWire{Attrs: s.db.AttrNames(mi.Attrs), Edges: wireEdges, Epochs: epochs}, 0, nil
+		return chowliuModel{mi: mi, edges: edges}, 0, nil
 	case "cube":
 		if s.apps.Cube == nil {
 			return nil, http.StatusNotFound, fmt.Errorf("cube not registered")
@@ -598,7 +604,33 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		flat := cr.Flatten()
+		return cr, 0, nil
+	}
+	return nil, http.StatusNotFound, fmt.Errorf("unknown application %q", app)
+}
+
+// render turns a model learn returned into its wire form; cached reports
+// whether it came from the epoch cache.
+func (s *Server) render(m any, epochs []uint64, cached bool) any {
+	switch m := m.(type) {
+	case *lmfao.LinRegModel:
+		names := make([]string, len(m.Features))
+		for i, f := range m.Features {
+			names[i] = f.Name
+		}
+		return linregModelWire{Features: names, Theta: m.Theta, FinalLoss: m.FinalLoss, Epochs: epochs, Cached: cached}
+	case *lmfao.PolyModel:
+		return polyModelWire{Monomials: len(m.Monomials), Theta: m.Theta, Epochs: epochs, Cached: cached}
+	case *lmfao.TreeModel:
+		return treeModelWire{Nodes: m.Nodes, Depth: treeDepth(m.Root), Epochs: epochs, Cached: cached}
+	case chowliuModel:
+		edges := make([]chowliuEdge, len(m.edges))
+		for i, e := range m.edges {
+			edges[i] = chowliuEdge{I: e.I, J: e.J, Weight: e.Weight}
+		}
+		return chowliuWire{Attrs: s.db.AttrNames(m.mi.Attrs), Edges: edges, Epochs: epochs, Cached: cached}
+	case *lmfao.CubeResult:
+		flat := m.Flatten()
 		n := len(flat)
 		if s.maxRows > 0 && n > s.maxRows {
 			n = s.maxRows
@@ -613,9 +645,10 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 			Rows:     len(flat),
 			Data:     rows,
 			Epochs:   epochs,
-		}, 0, nil
+			Cached:   cached,
+		}
 	}
-	return nil, http.StatusNotFound, fmt.Errorf("unknown application %q", app)
+	panic(fmt.Sprintf("serve: no wire form for model %T", m))
 }
 
 // handlePredict evaluates a fitted predictor on one input tuple. The model
@@ -634,16 +667,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, app strin
 	if !ok {
 		return
 	}
+	if app != "linreg" && app != "polyreg" && app != "tree" {
+		writeError(w, http.StatusNotFound, "application %q has no predictor", app)
+		return
+	}
 	epochs := epochsOf(sn)
 	ekey := epochHeader(epochs)
-	cached, hit := s.cache.get(app+"/model", ekey)
+	cached, hit := s.cache.get(app, ekey)
 	if !hit {
-		m, status, err := s.fitPredictor(sn, app)
+		m, status, err := s.learn(sn, app)
 		if err != nil {
 			writeError(w, status, "%v", err)
 			return
 		}
-		s.cache.put(app+"/model", ekey, m)
+		s.cache.put(app, ekey, m)
 		cached = m
 	}
 	flat, err := rowRelation(s.db, req.Row)
@@ -651,69 +688,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, app strin
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var pred float64
-	switch m := cached.(type) {
-	case *lmfao.LinRegModel:
-		pred, err = m.PredictRow(flat, 0)
-	case *lmfao.PolyModel:
-		pred, err = m.PredictRow(flat, 0)
-	case *lmfao.TreeModel:
-		pred, err = m.PredictRow(flat, 0)
-	default:
-		writeError(w, http.StatusNotFound, "application %q has no predictor", app)
-		return
-	}
+	pred, err := cached.(predictor).PredictRow(flat, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "predict: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, predictResponse{Prediction: pred, Epochs: epochs})
-}
-
-// fitPredictor fits the raw model object (not the wire rendering) for the
-// predict path. Only the three predictors are valid here.
-func (s *Server) fitPredictor(sn lmfao.Queryable, app string) (any, int, error) {
-	switch app {
-	case "linreg":
-		if s.apps == nil || s.apps.LinReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("linreg not registered")
-		}
-		q, err := lmfao.SubQueryable(sn, s.apps.LinReg.Win.Lo, s.apps.LinReg.Win.Hi)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnLinearRegressionClosedFormFrom(q, s.db, s.apps.LinReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return m, 0, nil
-	case "polyreg":
-		if s.apps == nil || s.apps.PolyReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("polyreg not registered")
-		}
-		q, err := lmfao.SubQueryable(sn, s.apps.PolyReg.Win.Lo, s.apps.PolyReg.Win.Hi)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnPolynomialRegressionFrom(q, s.db, s.apps.PolyReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return m, 0, nil
-	case "tree":
-		if s.apps == nil || s.apps.Tree == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("tree not registered")
-		}
-		release, ok := s.adm.tryRequery()
-		if !ok {
-			return nil, http.StatusTooManyRequests, fmt.Errorf("requery tier saturated; retry later")
-		}
-		defer release()
-		m, err := lmfao.LearnDecisionTreeFrom(sn, s.db, s.apps.Tree.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return m, 0, nil
-	}
-	return nil, http.StatusNotFound, fmt.Errorf("application %q has no predictor", app)
 }

@@ -188,6 +188,61 @@ func TestServeApplyBodyCap(t *testing.T) {
 	}
 }
 
+// TestServeApplyRejectsNonIntegerKey pins the discrete-value check: a
+// fractional or out-of-range key is a 400, never truncated into a
+// different key, and commits nothing.
+func TestServeApplyRejectsNonIntegerKey(t *testing.T) {
+	srv, _ := newTestServer(t, AdmissionOptions{})
+	for _, store := range []string{"1.5", "1e30", "-1e30"} {
+		body := `{"updates":[{"relation":"sales","inserts":[[` + store + `,10]]}]}`
+		if w := do(srv, http.MethodPost, "/v1/apply", body, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("apply with store=%s = %d, want 400: %s", store, w.Code, w.Body)
+		}
+	}
+	if got := do(srv, http.MethodGet, "/v1/epochs", "", nil).Header().Get("X-Lmfao-Epoch"); got != "1" {
+		t.Fatalf("X-Lmfao-Epoch after rejected applies = %q, want 1", got)
+	}
+}
+
+// TestServeFitOncePerEpoch pins that fit and predict share one model per
+// epoch vector: after a tree fit, a predict at the same epochs is a cache
+// hit, so it needs no requery slot and succeeds with every slot taken.
+func TestServeFitOncePerEpoch(t *testing.T) {
+	db, queries := testBatch(t)
+	sess, err := lmfao.NewSession(db, queries, lmfao.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	amount, _ := db.AttrByName("amount")
+	region, _ := db.AttrByName("region")
+	spec := lmfao.DefaultTreeSpec(lmfao.RegressionTree, amount)
+	spec.Categorical = []lmfao.AttrID{region}
+	spec.MinSplit = 1
+	srv, err := NewServer(Config{DB: db, Maintainer: sess, Queries: queries,
+		Apps: &Apps{Tree: &TreeApp{Spec: spec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := do(srv, http.MethodPost, "/v1/models/tree/fit", "", nil); w.Code != http.StatusOK {
+		t.Fatalf("tree fit = %d: %s", w.Code, w.Body)
+	}
+	for {
+		release, ok := srv.adm.tryRequery()
+		if !ok {
+			break
+		}
+		defer release()
+	}
+	w := do(srv, http.MethodPost, "/v1/models/tree/predict", `{"row":{"region":10}}`, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("predict at the fitted epoch with no requery slot = %d, want 200 (cache hit): %s", w.Code, w.Body)
+	}
+}
+
 // TestServeClosedMaintainer pins the degradation contract after Close:
 // writes are 503 (the sentinel maps to service-unavailable, not a 5xx
 // crash) while every read — snapshot reads AND requeries, which evaluate

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -180,12 +181,26 @@ func rowsToColumns(db *lmfao.Database, rel *data.Relation, rows [][]float64) ([]
 				if len(row) != len(attrs) {
 					return nil, fmt.Errorf("row %d has %d values, schema has %d attributes", i, len(row), len(attrs))
 				}
-				vals[i] = int64(row[c])
+				v, err := wireInt(row[c])
+				if err != nil {
+					return nil, fmt.Errorf("row %d attribute %q: %w", i, db.Attribute(id).Name, err)
+				}
+				vals[i] = v
 			}
 			cols[c] = data.NewIntColumn(vals)
 		}
 	}
 	return cols, nil
+}
+
+// wireInt converts a JSON number to a discrete attribute value. It rejects
+// fractions and values outside int64, which a plain conversion would
+// silently truncate or leave undefined.
+func wireInt(v float64) (int64, error) {
+	if v != math.Trunc(v) || v < math.MinInt64 || v >= -math.MinInt64 {
+		return 0, fmt.Errorf("%v is not an int64 value", v)
+	}
+	return int64(v), nil
 }
 
 // viewToResponse renders one materialized view for the wire, capped at

@@ -3,6 +3,7 @@ package lmfao
 import (
 	"fmt"
 
+	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
 	"repro/internal/query"
@@ -119,6 +120,12 @@ type Maintainer interface {
 // maintainer — published snapshots stay readable — from a transient
 // maintenance failure.
 var ErrSessionClosed = errSessionClosed
+
+// ErrNonFinite is the sentinel error every Maintainer returns from
+// Apply/ApplyAsync for an update holding a NaN or ±Inf value (match with
+// errors.Is). The whole update is rejected before it is logged or any part
+// of it is applied.
+var ErrNonFinite = data.ErrNonFinite
 
 // RunQueryable evaluates the batch once on eng and wraps the result in the
 // serving contract: an immutable *Snapshot (epoch 1) answering Queryable

@@ -368,6 +368,11 @@ func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
 	}
 	out := make([]*ApplyStats, 0, len(updates))
 	for _, u := range updates {
+		// Reject a malformed update before it is logged or any half of it
+		// is applied: it must leave neither base data nor views behind.
+		if err := s.eng.DB().CheckDelta(u); err != nil {
+			return out, err
+		}
 		if s.preApply != nil {
 			if err := s.preApply(u); err != nil {
 				// The update never became durable, so it is not applied.
